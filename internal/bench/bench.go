@@ -724,7 +724,7 @@ func ElectionBench(cfg ElectionConfig) ElectionResult {
 			abcast.PutMsgID(p, seq)
 			ldr.Broadcast(p)
 		}
-		sim.After(cfg.ProposeEvery, pump)
+		sim.PostAfter(cfg.ProposeEvery, pump)
 	}
 	pump()
 	sim.RunFor(20 * time.Millisecond)

@@ -306,7 +306,7 @@ func RunScenario(kind Kind, sc chaos.Scenario, cfg ChaosConfig) ChaosResult {
 	var submit func()
 	submit = func() {
 		if !inst.Sys.Ready() {
-			sim.After(50*time.Microsecond, submit)
+			sim.PostAfter(50*time.Microsecond, submit)
 			return
 		}
 		nextID++

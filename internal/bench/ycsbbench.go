@@ -67,7 +67,7 @@ func RunYCSB(kind Kind, cfg YCSBConfig) YCSBResult {
 	var submit func()
 	submit = func() {
 		if !inst.Sys.Ready() {
-			inst.Sim.After(time.Millisecond, submit)
+			inst.Sim.PostAfter(time.Millisecond, submit)
 			return
 		}
 		key, value := w.NextOp()

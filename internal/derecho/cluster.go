@@ -136,13 +136,13 @@ func (c *Cluster) send(id uint64, payload []byte) {
 	if c.Group.Cfg.Mode == LeaderMode {
 		target = c.Group.Sender(probe)
 		if target < 0 || c.Group.Node(target).Crashed() {
-			c.Sim.After(time.Millisecond, func() { c.retry(id, payload) })
+			c.Sim.PostAfter(time.Millisecond, func() { c.retry(id, payload) })
 			return
 		}
 	} else {
 		members := c.Group.Members(probe)
 		if len(members) == 0 {
-			c.Sim.After(time.Millisecond, func() { c.retry(id, payload) })
+			c.Sim.PostAfter(time.Millisecond, func() { c.retry(id, payload) })
 			return
 		}
 		target = members[c.rr%len(members)]
@@ -153,7 +153,7 @@ func (c *Cluster) send(id uint64, payload []byte) {
 	if _, err := c.reqOut.Send(c.Group.Node(target).ID, payload); err != nil {
 		panic("derecho: request send failed: " + err.Error())
 	}
-	c.Sim.After(10*time.Millisecond, func() { c.retry(id, payload) })
+	c.Sim.PostAfter(10*time.Millisecond, func() { c.retry(id, payload) })
 }
 
 // retry re-sends an unacknowledged request, but only once its member has
@@ -169,14 +169,14 @@ func (c *Cluster) retry(id uint64, payload []byte) {
 	t, ok := c.target[id]
 	if ok && !c.Group.Node(t).Crashed() {
 		// Still in a live member's hands; keep waiting.
-		c.Sim.After(time.Millisecond, func() { c.retry(id, payload) })
+		c.Sim.PostAfter(time.Millisecond, func() { c.retry(id, payload) })
 		return
 	}
 	if ok {
 		for _, m := range c.Group.Members(c.liveProbe()) {
 			if m == t {
 				// Crashed but the survivors have not excluded it yet.
-				c.Sim.After(time.Millisecond, func() { c.retry(id, payload) })
+				c.Sim.PostAfter(time.Millisecond, func() { c.retry(id, payload) })
 				return
 			}
 		}

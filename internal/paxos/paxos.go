@@ -465,11 +465,11 @@ func (s *Server) schedulePing() {
 		return
 	}
 	s.broadcast(enc(mPing, s.ballot, 0, s.id, nil))
-	s.c.Sim.After(s.c.cfg.LeaderTimeout/4, s.schedulePing)
+	s.c.Sim.PostAfter(s.c.cfg.LeaderTimeout/4, s.schedulePing)
 }
 
 func (s *Server) armFailover() {
-	s.c.Sim.After(s.c.cfg.LeaderTimeout, func() {
+	s.c.Sim.PostAfter(s.c.cfg.LeaderTimeout, func() {
 		if s.node.Crashed() || s.leading {
 			return
 		}
@@ -827,11 +827,11 @@ func (c *Cluster) Submit(payload []byte, done func()) {
 func (c *Cluster) sendReq(id uint64, payload []byte) {
 	ldr := c.LeaderIdx()
 	if ldr < 0 {
-		c.Sim.After(time.Millisecond, func() { c.retryReq(id, payload) })
+		c.Sim.PostAfter(time.Millisecond, func() { c.retryReq(id, payload) })
 		return
 	}
 	c.toServer[ldr].Send(payload)
-	c.Sim.After(30*time.Millisecond, func() { c.retryReq(id, payload) })
+	c.Sim.PostAfter(30*time.Millisecond, func() { c.retryReq(id, payload) })
 }
 
 func (c *Cluster) retryReq(id uint64, payload []byte) {

@@ -230,7 +230,7 @@ func (s *Server) electTimeout() time.Duration {
 func (s *Server) armElectionTimer() {
 	gen := s.timerGen
 	d := s.electTimeout()
-	s.c.Sim.After(d, func() {
+	s.c.Sim.PostAfter(d, func() {
 		if s.timerGen != gen || s.node.Crashed() || s.role == leader {
 			return
 		}
@@ -384,7 +384,7 @@ func (s *Server) heartbeat() {
 			s.sendAppend(j)
 		}
 	}
-	s.c.Sim.After(s.c.cfg.HeartbeatInterval, s.heartbeat)
+	s.c.Sim.PostAfter(s.c.cfg.HeartbeatInterval, s.heartbeat)
 }
 
 // --- log replication ---
@@ -881,11 +881,11 @@ func (c *Cluster) Submit(payload []byte, done func()) {
 func (c *Cluster) sendReq(id uint64, payload []byte) {
 	ldr := c.LeaderIdx()
 	if ldr < 0 {
-		c.Sim.After(2*time.Millisecond, func() { c.retryReq(id, payload) })
+		c.Sim.PostAfter(2*time.Millisecond, func() { c.retryReq(id, payload) })
 		return
 	}
 	c.toServer[ldr].Send(payload)
-	c.Sim.After(50*time.Millisecond, func() { c.retryReq(id, payload) })
+	c.Sim.PostAfter(50*time.Millisecond, func() { c.retryReq(id, payload) })
 }
 
 func (c *Cluster) retryReq(id uint64, payload []byte) {

@@ -101,6 +101,10 @@ type Fabric struct {
 	// dropped against a crashed node).
 	bufFree [][]byte
 
+	// evFree recycles verb event records (write deliveries, completions,
+	// read requests), so posting a verb schedules without a closure.
+	evFree []*verbEvent
+
 	// mrs tracks the poolable registered regions handed out by this
 	// fabric's nodes, for Release.
 	mrs [][]byte
@@ -139,6 +143,61 @@ func (f *Fabric) putBuf(b []byte) {
 		return
 	}
 	f.bufFree = append(f.bufFree, b[:0])
+}
+
+// verbKind selects what a verbEvent does when it fires.
+type verbKind uint8
+
+const (
+	evWrite    verbKind = iota // a write frame lands in the remote MR
+	evComplete                 // a completion reaches the local CQ
+	evRead                     // a read request reaches the remote NIC
+)
+
+// verbEvent is one in-flight verb event, pooled on the Fabric and scheduled
+// as a simnet.Handler. Fire copies the record out and returns it to the
+// free list before acting, so the follow-up events it posts (a completion
+// after a delivery, say) can reuse it.
+type verbEvent struct {
+	kind     verbKind
+	signaled bool
+	st       CompletionStatus
+	qp       *QP
+	remote   *MR
+	off, n   int
+	buf      []byte // write frame, or completion data
+	wrid     uint64
+	at       simnet.Time
+}
+
+// post schedules a pooled verb event filled from ev at ev.at.
+func (f *Fabric) post(ev verbEvent) {
+	var r *verbEvent
+	if n := len(f.evFree); n > 0 {
+		r = f.evFree[n-1]
+		f.evFree[n-1] = nil
+		f.evFree = f.evFree[:n-1]
+	} else {
+		r = new(verbEvent)
+	}
+	*r = ev
+	f.Sim.PostHandler(ev.at, r)
+}
+
+// Fire implements simnet.Handler.
+func (r *verbEvent) Fire() {
+	ev := *r
+	*r = verbEvent{}
+	f := ev.qp.from.Fabric
+	f.evFree = append(f.evFree, r)
+	switch ev.kind {
+	case evWrite:
+		ev.qp.deliver(ev.at, ev.remote, ev.off, ev.buf, ev.wrid, ev.signaled)
+	case evComplete:
+		ev.qp.onComplete(ev.at, ev.wrid, ev.st, ev.buf)
+	case evRead:
+		ev.qp.serveRead(ev.at, ev.remote, ev.off, ev.n, ev.wrid)
+	}
 }
 
 // NewFabric creates an empty fabric.
@@ -604,21 +663,23 @@ func (qp *QP) flushParkedComps() {
 }
 
 func (qp *QP) complete(at simnet.Time, wrid uint64, st CompletionStatus, data []byte) {
-	sim := qp.from.Fabric.Sim
-	sim.Post(at, func() {
-		if qp.from.crashed {
-			return
-		}
-		// A completion acknowledges this and all earlier writes.
-		qp.outstanding = 0
-		if qp.cq != nil {
-			qp.cq.entries = append(qp.cq.entries, Completion{QP: qp, WRID: wrid, Status: st, Data: data})
-		}
-		if tr := sim.Tracer(); tr != nil {
-			tr.Instant(trace.KCQE, qp.from.ID, int64(at), int64(wrid), int64(st))
-			tr.Add(trace.CtrCQEs, 1)
-		}
-	})
+	qp.from.Fabric.post(verbEvent{kind: evComplete, qp: qp, at: at, wrid: wrid, st: st, buf: data})
+}
+
+// onComplete lands a completion on the CQ at time at.
+func (qp *QP) onComplete(at simnet.Time, wrid uint64, st CompletionStatus, data []byte) {
+	if qp.from.crashed {
+		return
+	}
+	// A completion acknowledges this and all earlier writes.
+	qp.outstanding = 0
+	if qp.cq != nil {
+		qp.cq.entries = append(qp.cq.entries, Completion{QP: qp, WRID: wrid, Status: st, Data: data})
+	}
+	if tr := qp.from.Fabric.Sim.Tracer(); tr != nil {
+		tr.Instant(trace.KCQE, qp.from.ID, int64(at), int64(wrid), int64(st))
+		tr.Add(trace.CtrCQEs, 1)
+	}
 }
 
 // Write posts a one-sided RDMA write of data into remote[off:]. The write is
@@ -677,25 +738,32 @@ func (qp *QP) write(remote *MR, off int, data []byte, signaled bool) (uint64, er
 		return wrid, nil
 	}
 
-	sim.Post(deliverAt, func() {
-		if qp.to.crashed {
-			// Remote NIC unreachable: error completion after retries.
-			fb.putBuf(buf)
-			if signaled {
-				qp.complete(deliverAt.Add(qp.params.RetryTimeout), wrid, Flushed, nil)
-			}
-			return
-		}
-		copy(remote.Buf[off:], buf)
-		if tr := sim.Tracer(); tr != nil {
-			tr.Instant(trace.KWireRx, qp.to.ID, int64(deliverAt), int64(wrid), int64(len(buf)))
-		}
+	fb.post(verbEvent{kind: evWrite, qp: qp, at: deliverAt, remote: remote, off: off, buf: buf, wrid: wrid, signaled: signaled})
+	return wrid, nil
+}
+
+// deliver lands a write frame in remote[off:] at time at and recycles the
+// frame. A write toward a crashed node is dropped (its frame still
+// recycled) and, if signaled, completes with an error after the retry
+// timeout.
+func (qp *QP) deliver(at simnet.Time, remote *MR, off int, buf []byte, wrid uint64, signaled bool) {
+	fb := qp.from.Fabric
+	if qp.to.crashed {
+		// Remote NIC unreachable: error completion after retries.
 		fb.putBuf(buf)
 		if signaled {
-			qp.completeWire(deliverAt, wrid, OK, nil)
+			qp.complete(at.Add(qp.params.RetryTimeout), wrid, Flushed, nil)
 		}
-	})
-	return wrid, nil
+		return
+	}
+	copy(remote.Buf[off:], buf)
+	if tr := fb.Sim.Tracer(); tr != nil {
+		tr.Instant(trace.KWireRx, qp.to.ID, int64(at), int64(wrid), int64(len(buf)))
+	}
+	fb.putBuf(buf)
+	if signaled {
+		qp.completeWire(at, wrid, OK, nil)
+	}
 }
 
 // flushParked redelivers writes parked during a partition, in order.
@@ -706,30 +774,12 @@ func (qp *QP) flushParked() {
 	qp.parked = nil
 	at := sim.Now()
 	for _, pw := range parked {
-		pw := pw
 		at = at.Add(pw.ser + qp.params.LinkLatency)
 		if at <= qp.lastDeliver {
 			at = qp.lastDeliver + 1
 		}
 		qp.lastDeliver = at
-		deliverAt := at
-		sim.Post(deliverAt, func() {
-			if qp.to.crashed {
-				fb.putBuf(pw.buf)
-				if pw.signaled {
-					qp.complete(deliverAt.Add(qp.params.RetryTimeout), pw.wrid, Flushed, nil)
-				}
-				return
-			}
-			copy(pw.remote.Buf[pw.off:], pw.buf)
-			if tr := sim.Tracer(); tr != nil {
-				tr.Instant(trace.KWireRx, qp.to.ID, int64(deliverAt), int64(pw.wrid), int64(len(pw.buf)))
-			}
-			fb.putBuf(pw.buf)
-			if pw.signaled {
-				qp.completeWire(deliverAt, pw.wrid, OK, nil)
-			}
-		})
+		fb.post(verbEvent{kind: evWrite, qp: qp, at: at, remote: pw.remote, off: pw.off, buf: pw.buf, wrid: pw.wrid, signaled: pw.signaled})
 	}
 }
 
@@ -764,18 +814,21 @@ func (qp *QP) Read(remote *MR, off, n int) (uint64, error) {
 		qp.complete(reqAt.Add(p.RetryTimeout), wrid, Flushed, nil)
 		return wrid, nil
 	}
-	sim.Post(reqAt, func() {
-		if qp.to.crashed {
-			qp.complete(reqAt.Add(p.RetryTimeout), wrid, Flushed, nil)
-			return
-		}
-		// Remote NIC reads memory and streams the response back over the
-		// to→from direction (parks behind a reverse one-way cut).
-		data := make([]byte, n)
-		copy(data, remote.Buf[off:off+n])
-		qp.completeWire(reqAt.Add(p.serialize(n)), wrid, OK, data)
-	})
+	qp.from.Fabric.post(verbEvent{kind: evRead, qp: qp, at: reqAt, remote: remote, off: off, n: n, wrid: wrid})
 	return wrid, nil
+}
+
+// serveRead runs a read request arriving at the remote NIC at time at.
+func (qp *QP) serveRead(at simnet.Time, remote *MR, off, n int, wrid uint64) {
+	if qp.to.crashed {
+		qp.complete(at.Add(qp.params.RetryTimeout), wrid, Flushed, nil)
+		return
+	}
+	// Remote NIC reads memory and streams the response back over the
+	// to→from direction (parks behind a reverse one-way cut).
+	data := make([]byte, n)
+	copy(data, remote.Buf[off:off+n])
+	qp.completeWire(at.Add(qp.params.serialize(n)), wrid, OK, data)
 }
 
 // Outstanding reports unacknowledged work requests on the QP.

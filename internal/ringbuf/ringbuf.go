@@ -18,6 +18,12 @@
 //     two verbs and two wire frames per message, which is why Derecho is
 //     half as bandwidth-efficient for tiny messages (paper §4.1).
 //
+// Poll returns a batch slice that the Receiver reuses: it is valid until the
+// next Poll on the same Receiver. The payloads in it are copies the caller
+// may keep; only the slice holding them is recycled. The sender encodes each
+// record into a scratch buffer of its own, which is safe because the RDMA
+// layer copies a write's bytes into a wire frame before the post returns.
+//
 // Slot reuse is governed by the protocol through Release: Acuerdo releases a
 // record once the receiver has accepted it, Derecho only once it is committed
 // at all active nodes. When a receiver's ring is full the sender either
@@ -74,6 +80,8 @@ type Receiver struct {
 	creditQP *rdma.QP // back-channel to the sender's credit word
 	creditMR *rdma.MR
 	returned uint64
+
+	batch [][]byte // Poll's result slice, reused across calls
 }
 
 // ReturnCredits writes the consumed count back to the sender with an
@@ -99,8 +107,11 @@ func (r *Receiver) Consumed() uint64 { return r.consumed }
 
 // Poll drains available records, returning at most limit payloads
 // (limit <= 0 means unlimited). Each call returns a receiver-side batch.
+// The returned slice is reused by the next Poll; the payloads are the
+// caller's to keep.
 func (r *Receiver) Poll(limit int) [][]byte {
-	var out [][]byte
+	clear(r.batch) // drop the previous batch's payloads
+	out := r.batch[:0]
 	buf := r.mr.Buf
 	for limit <= 0 || len(out) < limit {
 		if len(buf)-r.off < headerSize {
@@ -127,6 +138,7 @@ func (r *Receiver) Poll(limit int) [][]byte {
 		r.consumed++
 		r.off += headerSize + int(ln)
 	}
+	r.batch = out
 	return out
 }
 
@@ -143,9 +155,10 @@ type peerState struct {
 
 	woff          int
 	wireSeq       uint64
-	msgIdx        uint64 // logical send index (includes backlogged)
-	emitIdx       uint64 // wire emission index; == msgIdx when backlog empty
-	inflight      []inflightRec
+	msgIdx        uint64        // logical send index (includes backlogged)
+	emitIdx       uint64        // wire emission index; == msgIdx when backlog empty
+	inflight      []inflightRec // unreleased records, queued from inHead on
+	inHead        int
 	inflightBytes int
 	backlog       [][]byte
 }
@@ -157,6 +170,10 @@ type Sender struct {
 	node *rdma.Node
 	peer map[int]*peerState
 	ids  []int // stable peer order for Broadcast
+
+	// scratch holds the record being encoded. Reusing it is safe because
+	// QP.Write copies the bytes into a wire frame before returning.
+	scratch []byte
 }
 
 // NewSender creates a sender owned by node.
@@ -269,12 +286,18 @@ func (s *Sender) emit(ps *peerState, payload []byte) {
 
 	ps.wireSeq++
 	ps.emitIdx++
-	buf := make([]byte, rec)
+	if cap(s.scratch) < rec {
+		s.scratch = make([]byte, rec)
+	}
+	buf := s.scratch[:rec]
 	binary.LittleEndian.PutUint32(buf[8:], uint32(len(payload)))
 	copy(buf[headerSize:], payload)
 	if s.cfg.TwoWrite {
 		// Derecho style: payload first with a zero sequence word, then a
-		// second write publishes the sequence (the "counter").
+		// second write publishes the sequence (the "counter"). The scratch
+		// buffer is reused, so zero the word explicitly: a stale sequence
+		// left in it would publish the record before its counter write.
+		binary.LittleEndian.PutUint64(buf[:8], 0)
 		s.write(ps, off, buf, false)
 		var seqw [8]byte
 		binary.LittleEndian.PutUint64(seqw[:], ps.wireSeq)
@@ -284,6 +307,13 @@ func (s *Sender) emit(ps *peerState, payload []byte) {
 		s.write(ps, off, buf, false)
 	}
 	ps.woff = off + rec
+	if len(ps.inflight) == cap(ps.inflight) && ps.inHead >= len(ps.inflight)/2 && ps.inHead > 0 {
+		// At least half the queue is released: compact it away in place
+		// instead of growing (amortized O(1) per record).
+		n := copy(ps.inflight, ps.inflight[ps.inHead:])
+		ps.inflight = ps.inflight[:n]
+		ps.inHead = 0
+	}
 	ps.inflight = append(ps.inflight, inflightRec{msgIdx: ps.emitIdx, bytes: rec + waste})
 	ps.inflightBytes += rec + waste
 }
@@ -329,9 +359,12 @@ func (s *Sender) Release(to int, upto uint64) {
 }
 
 func (s *Sender) release(ps *peerState, upto uint64) {
-	for len(ps.inflight) > 0 && ps.inflight[0].msgIdx <= upto {
-		ps.inflightBytes -= ps.inflight[0].bytes
-		ps.inflight = ps.inflight[1:]
+	for ps.inHead < len(ps.inflight) && ps.inflight[ps.inHead].msgIdx <= upto {
+		ps.inflightBytes -= ps.inflight[ps.inHead].bytes
+		ps.inHead++
+	}
+	if ps.inHead == len(ps.inflight) {
+		ps.inflight, ps.inHead = ps.inflight[:0], 0
 	}
 	// Flush backlog into freed space, preserving order.
 	for len(ps.backlog) > 0 {

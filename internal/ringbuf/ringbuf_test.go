@@ -2,6 +2,7 @@ package ringbuf
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -283,5 +284,88 @@ func TestExactlyOnceInOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Steady-state Broadcast + Poll allocates only the payload copies Poll hands
+// out: the record is encoded into the sender's scratch buffer, the write is
+// a pooled verb event, the in-flight queue compacts in place, and Poll
+// reuses its result slice.
+func TestSteadyStateAllocsOnlyPayloadCopies(t *testing.T) {
+	sim, s, recvs, _ := setup(2, DefaultConfig())
+	payload := make([]byte, 32)
+	const ops = 50
+	round := func() {
+		for i := 0; i < ops; i++ {
+			idx, err := s.Broadcast(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.RunFor(5 * time.Microsecond)
+			for j, r := range recvs {
+				if got := r.Poll(0); len(got) != 1 {
+					t.Fatalf("receiver %d polled %d records, want 1", j, len(got))
+				}
+				s.Release(s.ids[j], idx)
+			}
+		}
+	}
+	// Warm up past a wrap so every buffer has reached its steady size.
+	for i := 0; i < (1<<20)/(ops*(headerSize+len(payload)))+2; i++ {
+		round()
+	}
+	// AllocsPerRun truncates to whole objects per run, which absorbs the
+	// rare growth of the never-drained completion queues (one signaled
+	// write per thousand).
+	if got, want := testing.AllocsPerRun(20, round), float64(ops*len(recvs)); got != want {
+		t.Fatalf("%d Broadcast+Poll rounds allocate %.0f objects, want %.0f (one payload copy per receiver)", ops, got, want)
+	}
+}
+
+// In two-write mode the payload write must carry a zero sequence word, so
+// the record stays invisible until its counter write lands. The sender
+// encodes into a reused scratch buffer, so a stale sequence left in it would
+// publish records early; this drives the sim to the instant between the two
+// writes of a record emitted after the ring has wrapped many times.
+func TestTwoWriteScratchNeverPublishesEarly(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TwoWrite = true
+	cfg.Bytes = 1024
+	sim, s, recvs, _ := setup(1, cfg)
+	to := s.ids[0]
+	ps := s.peer[to]
+	filler := bytes.Repeat([]byte{'a'}, 20)
+	for i := 0; i < 500; i++ {
+		idx, err := s.Send(to, filler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.RunFor(10 * time.Microsecond)
+		if got := recvs[0].Poll(0); len(got) != 1 {
+			t.Fatalf("record %d: polled %d, want 1", i, len(got))
+		}
+		s.Release(to, idx)
+	}
+
+	target := []byte("target-record")
+	off, _ := s.placement(ps, headerSize+len(target))
+	if _, err := s.Send(to, target); err != nil {
+		t.Fatal(err)
+	}
+	ring := recvs[0].mr.Buf
+	for !bytes.Equal(ring[off+headerSize:off+headerSize+len(target)], target) {
+		if !sim.Step() {
+			t.Fatal("payload write never landed")
+		}
+	}
+	if seq := binary.LittleEndian.Uint64(ring[off:]); seq != 0 {
+		t.Fatalf("sequence word after the payload write = %d, want 0", seq)
+	}
+	if got := recvs[0].Poll(0); len(got) != 0 {
+		t.Fatalf("record published before its counter write: %q", got)
+	}
+	sim.RunFor(10 * time.Microsecond)
+	if got := recvs[0].Poll(0); len(got) != 1 || !bytes.Equal(got[0], target) {
+		t.Fatalf("after the counter write polled %q, want [%q]", got, target)
 	}
 }

@@ -126,6 +126,64 @@ func BenchmarkTimerStop(b *testing.B) {
 	}
 }
 
+// BenchmarkProcRun measures one unit of CPU work end to end: Run (or
+// RunAt, which costs a second event for its start hop) submits it and the
+// completion fires through the Proc-guarded event slot, with no wrapper
+// closure.
+func BenchmarkProcRun(b *testing.B) {
+	b.Run("Run", func(b *testing.B) {
+		s := New(1)
+		p := NewProc(s, 0, "n0")
+		n := 0
+		fn := func() { n++ }
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Run(100, fn)
+			s.Step()
+		}
+	})
+	b.Run("RunAt", func(b *testing.B) {
+		s := New(1)
+		p := NewProc(s, 0, "n0")
+		n := 0
+		fn := func() { n++ }
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.RunAt(s.Now().Add(50), 100, fn)
+			s.Step()
+			s.Step()
+		}
+	})
+}
+
+// TestProcRunAllocFree pins steady-state CPU work at zero allocations:
+// Run and RunAt with a preallocated fn (or none, or a Handler) post typed
+// event slots, so nothing but the slot free list is touched.
+func TestProcRunAllocFree(t *testing.T) {
+	s := New(1)
+	p := NewProc(s, 0, "n0")
+	n := 0
+	fn := func() { n++ }
+	h := &countHandler{}
+	work := func() {
+		p.Run(100, fn)
+		p.Run(100, nil)
+		p.RunAt(s.Now().Add(50), 100, fn)
+		p.RunAtHandler(s.Now().Add(50), 100, h)
+		s.Run()
+	}
+	work()
+	avg := testing.AllocsPerRun(200, work)
+	if avg != 0 {
+		t.Fatalf("steady-state Run/RunAt allocates %.1f objects/op, want 0", avg)
+	}
+	if want := 2 * 202; n != want || h.n != 202 {
+		t.Fatalf("fn ran %d times, handler %d; want %d and 202", n, h.n, want)
+	}
+}
+
 // TestEventDispatchAllocFree pins the nil-tracer fast path at zero
 // allocations per dispatched event: once the free list and the bucket
 // arena are primed, Post + Step must not touch the heap. This is the

@@ -25,6 +25,7 @@ package simnet
 import (
 	"math"
 	"math/bits"
+	"time"
 )
 
 // Wheel geometry, tuned on the figure-8 sweep. Bucket width 256ns keeps
@@ -52,11 +53,23 @@ const maxTime = Time(math.MaxInt64)
 // free list once fired or swept; gen is bumped on every recycle so a stale
 // Timer handle observes the mismatch instead of cancelling an unrelated
 // event that reused the slot.
+//
+// The target is typed rather than always a closure, so the hot producers
+// schedule without a heap object per event: h is a Handler (a plain func
+// rides in it as a funcEvent), or nil for CPU work charged for its cost
+// only. A non-nil p makes the event Proc-guarded: fire drops it unless p is
+// still alive in the crash epoch it was scheduled in. With runAt set, a
+// surviving event submits cost of CPU work to p (Proc.RunAt's first hop)
+// instead of running h directly. The slot is 64 bytes, one cache line.
 type eventSlot struct {
 	at      Time
 	seq     uint64
-	fn      func()
+	h       Handler
+	p       *Proc
+	epoch   uint64
+	cost    time.Duration
 	gen     uint32
+	runAt   bool
 	stopped bool
 	inWheel bool // resident in a wheel bucket (vs the overflow ladder)
 }
@@ -116,17 +129,19 @@ func (q *calQueue) init() {
 	q.ovMin = maxTime
 }
 
-// alloc takes a slot from the free list (or grows the slab), fills it, and
-// files it in the wheel or overflow. O(1); allocation-free in steady state.
-func (q *calQueue) alloc(at Time, seq uint64, fn func()) int32 {
+// alloc takes a slot from the free list (or grows the slab), stamps its
+// time and sequence, and files it in the wheel or overflow. The slot comes
+// back with an empty target (recycle clears it) for the caller to fill.
+// O(1); allocation-free in steady state.
+func (q *calQueue) alloc(at Time, seq uint64) int32 {
 	var idx int32
 	if n := len(q.free); n > 0 {
 		idx = q.free[n-1]
 		q.free = q.free[:n-1]
 		sl := &q.slots[idx]
-		sl.at, sl.seq, sl.fn, sl.stopped = at, seq, fn, false
+		sl.at, sl.seq, sl.stopped = at, seq, false
 	} else {
-		q.slots = append(q.slots, eventSlot{at: at, seq: seq, fn: fn})
+		q.slots = append(q.slots, eventSlot{at: at, seq: seq})
 		idx = int32(len(q.slots) - 1)
 	}
 	q.size++
@@ -220,7 +235,8 @@ func (q *calQueue) reset() {
 func (q *calQueue) recycle(idx int32) {
 	sl := &q.slots[idx]
 	sl.gen++
-	sl.fn = nil
+	// A free slot must not pin a closure, Proc or pooled record.
+	sl.h, sl.p = nil, nil
 	q.free = append(q.free, idx)
 }
 

@@ -119,7 +119,15 @@ func (p *Proc) acquire() Time {
 // Work is executed in submission order. If the process crashes before the
 // work completes, fn never runs. fn may be nil to account for cost only.
 // Run returns the completion time.
+//
+// The completion is a Proc-guarded event slot, so Run with a preallocated
+// (or nil) fn does not allocate.
 func (p *Proc) Run(cost time.Duration, fn func()) Time {
+	return p.run(cost, handler(fn))
+}
+
+// run is Run for a Handler target; h may be nil to charge cost only.
+func (p *Proc) run(cost time.Duration, h Handler) Time {
 	if !p.alive {
 		return p.Sim.Now()
 	}
@@ -134,30 +142,34 @@ func (p *Proc) Run(cost time.Duration, fn func()) Time {
 		tr.Span(trace.KProcRun, p.ID, int64(start), int64(cost), 0, 0)
 		tr.Add(trace.CtrProcTime, int64(cost))
 	}
-	epoch := p.epoch
-	p.Sim.Post(done, func() {
-		if p.alive && p.epoch == epoch && fn != nil {
-			fn()
-		}
-	})
+	_, sl := p.Sim.schedule(done)
+	sl.h, sl.p, sl.epoch, sl.runAt = h, p, p.epoch, false
 	return done
 }
 
 // RunAt is like Run but the work cannot begin before at (used for work
 // triggered by a future external event, e.g. a NIC completion).
 func (p *Proc) RunAt(at Time, cost time.Duration, fn func()) {
+	p.runAt(at, cost, handler(fn))
+}
+
+// RunAtHandler is RunAt with a Handler target: h.Fire runs when the work
+// completes, unless the process crashed in between. A record dropped by a
+// crash is never fired, so a pool that recycles records from Fire simply
+// loses it to the garbage collector.
+func (p *Proc) RunAtHandler(at Time, cost time.Duration, h Handler) {
+	p.runAt(at, cost, h)
+}
+
+func (p *Proc) runAt(at Time, cost time.Duration, h Handler) {
 	if !p.alive {
 		return
 	}
-	epoch := p.epoch
 	if at < p.Sim.Now() {
 		at = p.Sim.Now()
 	}
-	p.Sim.Post(at, func() {
-		if p.alive && p.epoch == epoch {
-			p.Run(cost, fn)
-		}
-	})
+	_, sl := p.Sim.schedule(at)
+	sl.h, sl.p, sl.epoch, sl.cost, sl.runAt = h, p, p.epoch, cost, true
 }
 
 // PollLoop runs poll every interval of idle time, charging cost per

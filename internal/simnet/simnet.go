@@ -118,13 +118,41 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
-// schedule enqueues fn at time at, reusing a recycled slot when available.
-func (s *Sim) schedule(at Time, fn func()) int32 {
+// Handler is an event target that is not a closure: typically a pointer to
+// a pooled record, whose Fire method runs the event. Converting a pointer to
+// a Handler does not allocate, so a producer that recycles its records
+// through a free list schedules without touching the heap. Fire runs after
+// the event's slot is recycled, so it may schedule freely (including its
+// own record, once it has copied out what it needs).
+type Handler interface {
+	Fire()
+}
+
+// funcEvent adapts a plain callback to Handler. A func value is pointer
+// shaped, so the conversion does not allocate either.
+type funcEvent func()
+
+func (f funcEvent) Fire() { f() }
+
+// handler wraps fn as a Handler, keeping nil as nil (cost-only Proc work).
+func handler(fn func()) Handler {
+	if fn == nil {
+		return nil
+	}
+	return funcEvent(fn)
+}
+
+// schedule reserves a slot for an event at time at, reusing a recycled slot
+// when available, and returns it with an empty target for the caller to
+// fill. The pointer is valid until the next schedule (which may grow the
+// slab).
+func (s *Sim) schedule(at Time) (int32, *eventSlot) {
 	if at < s.now {
 		panic(fmt.Sprintf("simnet: scheduling event at %v before now %v", at, s.now))
 	}
 	s.seq++
-	return s.q.alloc(at, s.seq, fn)
+	idx := s.q.alloc(at, s.seq)
+	return idx, &s.q.slots[idx]
 }
 
 // At schedules fn to run at time at and returns a Timer handle that can
@@ -132,8 +160,9 @@ func (s *Sim) schedule(at Time, fn func()) int32 {
 // a discrete-event model. Hot paths that never cancel should use Post, which
 // skips the Timer allocation.
 func (s *Sim) At(at Time, fn func()) *Timer {
-	idx := s.schedule(at, fn)
-	return &Timer{s: s, idx: idx, gen: s.q.slots[idx].gen}
+	idx, sl := s.schedule(at)
+	sl.h = funcEvent(fn)
+	return &Timer{s: s, idx: idx, gen: sl.gen}
 }
 
 // After schedules fn to run d after the current time.
@@ -150,7 +179,17 @@ func (s *Sim) After(d time.Duration, fn func()) *Timer {
 // message send, completion, and poll iteration in the hot loop goes through
 // here.
 func (s *Sim) Post(at Time, fn func()) {
-	s.schedule(at, fn)
+	_, sl := s.schedule(at)
+	sl.h = funcEvent(fn)
+}
+
+// PostHandler is Post for a Handler target: h.Fire runs at time at. With h
+// a pooled record this is the allocation-free way to schedule an event that
+// carries data (an RDMA verb delivery, say), where Post would need a fresh
+// closure per event.
+func (s *Sim) PostHandler(at Time, h Handler) {
+	_, sl := s.schedule(at)
+	sl.h = h
 }
 
 // PostAfter schedules fn to run d after the current time, without a handle.
@@ -161,11 +200,16 @@ func (s *Sim) PostAfter(d time.Duration, fn func()) {
 	s.Post(s.now.Add(d), fn)
 }
 
-// fire advances the clock to slot idx's timestamp and runs its callback.
-// The slot is recycled before fn runs: fn may schedule new events, and
-// letting them reuse the slot keeps the free-list small. The generation
-// bump means a Timer for this event now reports false from Stop, matching
-// the "already ran" semantics.
+// fire advances the clock to slot idx's timestamp and runs its target.
+// The target is copied out and the slot recycled before it runs: the
+// target may schedule new events, and letting them reuse the slot keeps
+// the free-list small. The generation bump means a Timer for this event
+// now reports false from Stop, matching the "already ran" semantics.
+//
+// A Proc-guarded event (scheduled by Proc.Run/RunAt) is dropped here when
+// its Proc crashed since scheduling: not alive, or alive in a later epoch
+// after Recover. A dropped event still counts as processed and is traced
+// like any other.
 func (s *Sim) fire(idx int32) {
 	sl := &s.q.slots[idx]
 	s.now = sl.at
@@ -173,9 +217,22 @@ func (s *Sim) fire(idx int32) {
 	if s.tracer != nil {
 		s.tracer.SimEvent(int64(sl.at), int64(sl.seq))
 	}
-	fn := sl.fn
+	h, p := sl.h, sl.p
+	if p == nil {
+		s.q.recycle(idx)
+		h.Fire()
+		return
+	}
+	epoch, cost, runAt := sl.epoch, sl.cost, sl.runAt
 	s.q.recycle(idx)
-	fn()
+	if !p.alive || p.epoch != epoch {
+		return
+	}
+	if runAt {
+		p.run(cost, h)
+	} else if h != nil {
+		h.Fire()
+	}
 }
 
 // Step executes the next pending event and reports whether one existed.

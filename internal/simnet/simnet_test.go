@@ -210,6 +210,63 @@ func TestProcRecoverDropsStaleWork(t *testing.T) {
 	}
 }
 
+// countHandler is a preallocated Handler target for the typed-slot tests.
+type countHandler struct{ n int }
+
+func (h *countHandler) Fire() { h.n++ }
+
+// The crash-epoch guard lives in fire, not in a closure: every form of Proc
+// work queued before a crash (a Run completion, a RunAt still waiting for
+// its start time, a RunAt whose start hop already queued its Run) is
+// dropped, even though the process is alive again by the time it falls due.
+func TestProcCrashGuardSurvivesRecover(t *testing.T) {
+	s := New(1)
+	p := NewProc(s, 0, "n0")
+	var ran []string
+	h := &countHandler{}
+	p.Run(400, func() { ran = append(ran, "run") })
+	p.RunAt(200, 50, func() { ran = append(ran, "runAt") })
+	p.RunAtHandler(200, 50, h)
+	p.RunAt(20, 200, func() { ran = append(ran, "runAt-started") })
+	s.Post(150, func() {
+		p.Crash()
+		p.Recover()
+	})
+	s.Run()
+	if len(ran) != 0 || h.n != 0 {
+		t.Fatalf("stale work ran after recover: %v, handler fired %d times", ran, h.n)
+	}
+	// Work queued in the new epoch runs normally, in both target kinds.
+	p.Run(10, func() { ran = append(ran, "fresh") })
+	p.RunAtHandler(s.Now().Add(5), 10, h)
+	s.Run()
+	if len(ran) != 1 || h.n != 1 {
+		t.Fatalf("fresh work: ran = %v, handler fired %d times; want [fresh] and 1", ran, h.n)
+	}
+}
+
+// A free slot must not pin its last target: fire recycles before running,
+// and recycle clears every pointer field.
+func TestRecycledSlotsPinNothing(t *testing.T) {
+	s := New(1)
+	p := NewProc(s, 0, "n0")
+	h := &countHandler{}
+	s.Post(10, func() {})
+	s.PostHandler(20, h)
+	p.Run(30, func() {})
+	p.RunAtHandler(40, 5, h)
+	s.Run()
+	if len(s.q.free) == 0 {
+		t.Fatal("no recycled slots")
+	}
+	for _, idx := range s.q.free {
+		sl := &s.q.slots[idx]
+		if sl.h != nil || sl.p != nil {
+			t.Fatalf("free slot %d still pins its target: %+v", idx, *sl)
+		}
+	}
+}
+
 func TestProcPause(t *testing.T) {
 	s := New(1)
 	p := NewProc(s, 0, "n0")

@@ -84,7 +84,7 @@ func NewWatchdog(sim *Sim, budget time.Duration, progress func() int64, onFire f
 }
 
 func (w *Watchdog) arm() {
-	w.sim.After(w.budget/watchdogChecks, w.check)
+	w.sim.PostAfter(w.budget/watchdogChecks, w.check)
 }
 
 func (w *Watchdog) check() {

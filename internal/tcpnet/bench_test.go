@@ -34,3 +34,26 @@ func BenchmarkTCPSend(b *testing.B) {
 		b.Fatalf("delivered %d messages, want %d", delivered, b.N+1)
 	}
 }
+
+// TestSendAllocFree pins the steady-state send→deliver cycle at zero
+// allocations: the send syscall is a typed Proc event, the receive a pooled
+// record run through Proc.RunAtHandler, and the frame a free-list buffer.
+func TestSendAllocFree(t *testing.T) {
+	sim := simnet.New(1)
+	n := New(sim, DefaultParams())
+	src, dst := n.AddNode("src"), n.AddNode("dst")
+	delivered := 0
+	conn := src.Connect(dst, func(m []byte) { delivered++ })
+	msg := make([]byte, 64)
+	send := func() {
+		conn.Send(msg)
+		sim.RunFor(500 * time.Microsecond)
+	}
+	send()
+	if avg := testing.AllocsPerRun(200, send); avg != 0 {
+		t.Fatalf("send→deliver allocates %.1f objects/op, want 0", avg)
+	}
+	if delivered != 202 {
+		t.Fatalf("delivered %d messages, want 202", delivered)
+	}
+}

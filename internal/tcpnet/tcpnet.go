@@ -79,6 +79,10 @@ type Net struct {
 	// contract real kernel receive buffers impose.
 	bufFree [][]byte
 
+	// recvFree recycles receive records, so delivering a message schedules
+	// no closure.
+	recvFree []*recvEvent
+
 	// procQueue holds pre-created CPUs queued by ProvideProcs for the next
 	// AddNode calls; empty means AddNode creates a fresh Proc per host.
 	procQueue []*simnet.Proc
@@ -393,17 +397,42 @@ func (c *Conn) transmit(ready simnet.Time, buf []byte) {
 		tr.Add(trace.CtrTCPWakeups, 1)
 	}
 
-	to := c.to
-	// Receiver: wakeup + recv processing on the receiving CPU. The frame is
-	// recycled once the handler returns; handlers copy what they keep.
-	to.Proc.RunAt(arrive.Add(p.WakeupLatency), p.RecvCost, func() {
-		if tr := sim.Tracer(); tr != nil {
-			// Run fires at completion time, so the recv span ends now.
-			tr.Span(trace.KTCPRecv, to.ID, int64(sim.Now())-int64(p.RecvCost), int64(p.RecvCost), int64(len(buf)), 0)
-		}
-		c.handler(buf)
-		nd.Net.putBuf(buf)
-	})
+	// Receiver: wakeup + recv processing on the receiving CPU, through a
+	// pooled record. A crash in between drops the record (and its frame)
+	// to the garbage collector.
+	var ev *recvEvent
+	if k := len(nd.Net.recvFree); k > 0 {
+		ev = nd.Net.recvFree[k-1]
+		nd.Net.recvFree[k-1] = nil
+		nd.Net.recvFree = nd.Net.recvFree[:k-1]
+	} else {
+		ev = new(recvEvent)
+	}
+	ev.c, ev.buf = c, buf
+	c.to.Proc.RunAtHandler(arrive.Add(p.WakeupLatency), p.RecvCost, ev)
+}
+
+// recvEvent is one message's receive-side processing, scheduled on the
+// receiving CPU as a simnet.Handler.
+type recvEvent struct {
+	c   *Conn
+	buf []byte
+}
+
+// Fire runs the receive handler; the frame is recycled once the handler
+// returns, so handlers copy what they keep.
+func (ev *recvEvent) Fire() {
+	c, buf := ev.c, ev.buf
+	n := c.from.Net
+	ev.c, ev.buf = nil, nil
+	n.recvFree = append(n.recvFree, ev)
+	if tr := n.Sim.Tracer(); tr != nil {
+		// Run fires at completion time, so the recv span ends now.
+		cost := n.Params.RecvCost
+		tr.Span(trace.KTCPRecv, c.to.ID, int64(n.Sim.Now())-int64(cost), int64(cost), int64(len(buf)), 0)
+	}
+	c.handler(buf)
+	n.putBuf(buf)
 }
 
 // flushParked retransmits messages parked behind a one-way cut, in send

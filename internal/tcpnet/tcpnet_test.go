@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"acuerdo/internal/simnet"
+	"acuerdo/internal/trace"
 )
 
 func pair(seed int64, jitter bool) (*simnet.Sim, *Node, *Node) {
@@ -16,6 +17,41 @@ func pair(seed int64, jitter bool) (*simnet.Sim, *Node, *Node) {
 	}
 	n := New(sim, p)
 	return sim, n.AddNode("a"), n.AddNode("b")
+}
+
+// The receive span covers exactly the handler's CPU window: it starts when
+// the wakeup ends (the receiver is idle), lasts RecvCost, and ends when the
+// handler runs, on the receiving node.
+func TestRecvTraceSpan(t *testing.T) {
+	sim := simnet.New(1)
+	tr := trace.New(1 << 10)
+	sim.SetTracer(tr)
+	p := DefaultParams()
+	p.Jitter = nil
+	n := New(sim, p)
+	a, b := n.AddNode("a"), n.AddNode("b")
+	var ranAt simnet.Time
+	a.Connect(b, func(m []byte) { ranAt = sim.Now() }).Send([]byte("hello"))
+	sim.RunFor(time.Millisecond)
+	var wake, recv []trace.Event
+	for _, ev := range tr.Events() {
+		switch ev.Kind {
+		case trace.KTCPWakeup:
+			wake = append(wake, ev)
+		case trace.KTCPRecv:
+			recv = append(recv, ev)
+		}
+	}
+	if len(wake) != 1 || len(recv) != 1 {
+		t.Fatalf("got %d wakeup and %d recv spans, want 1 each", len(wake), len(recv))
+	}
+	w, r := wake[0], recv[0]
+	if r.Node != int32(b.ID) || r.Dur != int64(p.RecvCost) || r.A != 5 || r.B != 0 {
+		t.Fatalf("recv span = %+v, want node %d, dur %d, A 5", r, b.ID, p.RecvCost)
+	}
+	if r.TS != w.TS+w.Dur || r.TS+r.Dur != int64(ranAt) {
+		t.Fatalf("recv span [%d, %d) does not run from wakeup end %d to handler time %d", r.TS, r.TS+r.Dur, w.TS+w.Dur, ranAt)
+	}
 }
 
 func TestDelivery(t *testing.T) {

@@ -734,11 +734,11 @@ func (s *Server) schedulePing() {
 		return
 	}
 	s.broadcast(enc(mPing, s.epoch, 0, nil))
-	s.c.Sim.After(s.c.cfg.HeartbeatInterval, s.schedulePing)
+	s.c.Sim.PostAfter(s.c.cfg.HeartbeatInterval, s.schedulePing)
 }
 
 func (s *Server) armFollowTimer() {
-	s.c.Sim.After(s.c.cfg.ElectTimeout, func() {
+	s.c.Sim.PostAfter(s.c.cfg.ElectTimeout, func() {
 		if s.role != following || !s.alive() {
 			return
 		}
@@ -751,7 +751,7 @@ func (s *Server) armFollowTimer() {
 }
 
 func (s *Server) armElectTimer() {
-	s.c.Sim.After(s.c.cfg.ElectTimeout, func() {
+	s.c.Sim.PostAfter(s.c.cfg.ElectTimeout, func() {
 		if s.role == looking && s.alive() {
 			// Election stalled (e.g., votes lost to a crash); retry.
 			s.startElection()
@@ -916,11 +916,11 @@ func (c *Cluster) Submit(payload []byte, done func()) {
 func (c *Cluster) sendReq(id uint64, payload []byte) {
 	ldr := c.LeaderIdx()
 	if ldr < 0 {
-		c.Sim.After(time.Millisecond, func() { c.retry(id, payload) })
+		c.Sim.PostAfter(time.Millisecond, func() { c.retry(id, payload) })
 		return
 	}
 	c.toLeader[ldr].Send(payload)
-	c.Sim.After(20*time.Millisecond, func() { c.retry(id, payload) })
+	c.Sim.PostAfter(20*time.Millisecond, func() { c.retry(id, payload) })
 }
 
 func (c *Cluster) retry(id uint64, payload []byte) {
