@@ -18,6 +18,7 @@ import (
 	"acuerdo/internal/abcast"
 	"acuerdo/internal/acuerdo"
 	"acuerdo/internal/bench"
+	"acuerdo/internal/derecho"
 	"acuerdo/internal/rdma"
 	"acuerdo/internal/ringbuf"
 	"acuerdo/internal/simnet"
@@ -87,12 +88,12 @@ func BenchmarkFigure9(b *testing.B) {
 		for _, n := range []int{3, 5, 7, 9} {
 			k, n := k, n
 			b.Run(fmt.Sprintf("%s/nodes=%d", k, n), func(b *testing.B) {
-				var r bench.YCSBResult
+				var r bench.PlacementResult
 				for i := 0; i < b.N; i++ {
-					cfg := bench.DefaultYCSB(n)
+					cfg := bench.DefaultYCSB(k, n)
 					cfg.Measure = 15 * time.Millisecond
 					cfg.Seed = int64(i + 1)
-					r = bench.RunYCSB(k, cfg)
+					r = bench.RunPlacementYCSB(cfg)
 				}
 				b.ReportMetric(r.OpsPerSec, "ops/s")
 				b.ReportMetric(us(r.Latency.Mean()), "lat-us")
@@ -146,7 +147,7 @@ func BenchmarkAblationAckEvery(b *testing.B) {
 				Warmup: 2 * time.Millisecond, Measure: 10 * time.Millisecond,
 			})
 			var pushes, accepted uint64
-			for _, r := range inst.AcuerdoCluster.Replicas {
+			for _, r := range inst.Sys.(*acuerdo.Cluster).Replicas {
 				if !r.IsLeader() {
 					pushes += r.Stats.SSTPushes
 					accepted += r.Stats.Accepted
@@ -177,8 +178,8 @@ func BenchmarkAblationSlotReuse(b *testing.B) {
 			cfg.RingBytes = 16 << 10
 			cfg.ReleaseOnCommit = onCommit
 			inst := bench.NewInstance(bench.Acuerdo, 3, int64(i+1), bench.Options{AcuerdoConfig: &cfg})
-			ldr := inst.AcuerdoCluster.LeaderIdx()
-			victim := inst.AcuerdoCluster.Replicas[(ldr+1)%3].Node
+			c := inst.Sys.(*acuerdo.Cluster)
+			victim := c.Replicas[(c.LeaderIdx()+1)%3].Node
 			victim.Proc.SetDesched(&simnet.DeschedConfig{
 				Interval: simnet.Constant{D: 6 * time.Millisecond},
 				Pause:    simnet.Constant{D: 2 * time.Millisecond},
@@ -218,8 +219,8 @@ func BenchmarkAblationSlowNode(b *testing.B) {
 			var victim *rdma.Node
 			switch kind {
 			case bench.Acuerdo:
-				ldr := inst.AcuerdoCluster.LeaderIdx()
-				victim = inst.AcuerdoCluster.Replicas[(ldr+1)%3].Node
+				c := inst.Sys.(*acuerdo.Cluster)
+				victim = c.Replicas[(c.LeaderIdx()+1)%3].Node
 			default:
 				victim = nil
 			}
@@ -249,7 +250,7 @@ func runDerechoSlow(b *testing.B) {
 		// Member 2 is never the leader-mode sender (member 0 is).
 		// Pauses stay well below the 4ms failure timeout, so no view
 		// change happens: the group simply waits, per virtual synchrony.
-		inst.DerechoCluster.Group.Node(2).Proc.SetDesched(&simnet.DeschedConfig{
+		inst.Sys.(*derecho.Cluster).Group.Node(2).Proc.SetDesched(&simnet.DeschedConfig{
 			Interval: simnet.Constant{D: time.Millisecond},
 			Pause:    simnet.Constant{D: 200 * time.Microsecond},
 		})

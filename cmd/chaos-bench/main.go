@@ -43,7 +43,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print per-run fired actions and unavailability windows")
 	observe := flag.Bool("observe", false, "run every system under the runtime invariant observers; any violation fails the run")
 	jsonPath := flag.String("json", "", "write a chaos artifact (bench-compare understands it) to this path")
-	durability := flag.String("durability", "", "storage model: empty = volatile, 'durable' = per-replica simulated disks, 'amnesia' = disks wiped at every crash (systems with no durable mode stay volatile)")
+	durability := flag.String("durability", "", "storage model: empty = volatile, 'durable' = per-replica simulated disks, 'amnesia' = disks wiped at every crash (systems with no durable mode are reported n/a)")
 	flag.Parse()
 
 	switch bench.Durability(*durability) {
@@ -59,6 +59,20 @@ func main() {
 		for _, s := range strings.Split(*systems, ",") {
 			kinds = append(kinds, bench.Kind(strings.TrimSpace(s)))
 		}
+	}
+
+	if bench.Durability(*durability) != bench.Volatile {
+		// Derecho and APUS have no durable path: report them instead of
+		// running them volatile under a durable label.
+		var supported []bench.Kind
+		for _, k := range kinds {
+			if bench.DurabilitySupported(k) {
+				supported = append(supported, k)
+			} else {
+				fmt.Printf("%s: n/a (no durable mode)\n", k)
+			}
+		}
+		kinds = supported
 	}
 
 	cfg := bench.DefaultChaos(*nodes, *seed)
@@ -110,7 +124,10 @@ func main() {
 	start := time.Now()
 	for _, sc := range all {
 		fmt.Printf("scenario %s (%d nodes, seed %d)\n", sc.Name, *nodes, *seed)
-		results, _ := bench.RunScenarioAllParallel(sc, cfg, kinds, *parallel)
+		var results []bench.ChaosResult
+		if len(kinds) > 0 {
+			results, _ = bench.RunScenarioAllParallel(sc, cfg, kinds, *parallel)
+		}
 		bench.PrintRecoveryTable(os.Stdout, results)
 		for _, r := range results {
 			if *verbose {

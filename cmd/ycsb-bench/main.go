@@ -3,7 +3,9 @@
 //
 // Without -pgs it regenerates the paper's Figure 9: YCSB-load throughput
 // (ops/sec, 100% writes with zipfian-.99 key popularity) across node
-// counts, for Acuerdo versus ZooKeeper and etcd.
+// counts, for Acuerdo versus ZooKeeper and etcd. Each point is the
+// single-group case of the scale-out path: one placement group whose
+// replicas each own a fleet node.
 //
 // With -pgs it runs the scale-out experiment instead: for each listed
 // placement-group count, one simulation partitions the keyspace across
@@ -64,17 +66,19 @@ func main() {
 	flag.Parse()
 
 	if *pgs == "" {
-		var cfgs []bench.YCSBConfig
-		for _, n := range parseCounts(*counts, 3, "node count") {
-			cfg := bench.DefaultYCSB(n)
-			cfg.Window = *window
-			cfg.Records = *records
-			cfg.Value = *value
-			cfg.Measure = *measure
-			cfg.Seed = *seed
-			cfgs = append(cfgs, cfg)
+		var cfgs []bench.PlacementConfig
+		for _, k := range bench.YCSBSystems {
+			for _, n := range parseCounts(*counts, 3, "node count") {
+				cfg := bench.DefaultYCSB(k, n)
+				cfg.WindowPerPG = *window
+				cfg.Records = *records
+				cfg.Value = *value
+				cfg.Measure = *measure
+				cfg.Seed = *seed
+				cfgs = append(cfgs, cfg)
+			}
 		}
-		out, _ := bench.RunYCSBAllParallel(bench.YCSBSystems, cfgs, *parallel)
+		out, _ := bench.RunPlacementSweep(cfgs, *parallel)
 		bench.PrintFigure9(os.Stdout, out)
 		return
 	}

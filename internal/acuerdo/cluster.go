@@ -264,6 +264,12 @@ func (c *Cluster) LeaderIdx() int {
 	return -1
 }
 
+// Crash fails replica i (see Replica.Crash).
+func (c *Cluster) Crash(i int) { c.Replicas[i].Crash() }
+
+// Restart brings a crashed replica i back (see Replica.Restart).
+func (c *Cluster) Restart(i int) { c.Replicas[i].Restart() }
+
 // Leader returns the current leader replica, or nil.
 func (c *Cluster) Leader() *Replica {
 	if i := c.LeaderIdx(); i >= 0 {

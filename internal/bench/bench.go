@@ -57,9 +57,11 @@ const (
 	Amnesia  Durability = "amnesia"
 )
 
-// DurabilitySupported reports whether kind has a durable storage mode.
-// Derecho and APUS keep their paper-faithful volatile model: they are
-// comparison baselines whose recovery story the paper does not extend.
+// DurabilitySupported reports whether kind has a durable storage mode, that
+// is, whether its cluster implements durable. Derecho and APUS keep their
+// paper-faithful volatile model: they are comparison baselines whose
+// recovery story the paper does not extend, and NewInstanceOn rejects a
+// durable or amnesia run on them.
 func DurabilitySupported(kind Kind) bool {
 	switch kind {
 	case Acuerdo, Etcd, Libpaxos, Zookeeper:
@@ -68,46 +70,50 @@ func DurabilitySupported(kind Kind) bool {
 	return false
 }
 
+// cluster is the contract every benched system implements: the load
+// interface plus observer wiring, boot, leader lookup, and the system's own
+// crash and recovery paths, all in replica-index space.
+type cluster interface {
+	abcast.System
+	SetObserver(o *observe.Observer)
+	Start()
+	LeaderIdx() int
+	Crash(i int)
+	Restart(i int)
+}
+
+// durable is implemented by the clusters with a disk-backed storage mode
+// (DurabilitySupported): SetDisks switches them to it before Start.
+type durable interface {
+	SetDisks(devs []*disk.Device)
+	DiskRecoveredBytes() int64
+	FabricRecoveryBytes() int64
+}
+
+// interconnect is the fault surface *rdma.Fabric and *tcpnet.Net share,
+// addressed by interconnect node id.
+type interconnect interface {
+	ProvideProcs(procs []*simnet.Proc)
+	PartitionOneWay(a, b int)
+	HealOneWay(a, b int)
+	SetLoss(a, b int, p float64)
+	SetLatencySpike(a, b int, d time.Duration)
+}
+
 // Instance is one booted system ready for load.
 type Instance struct {
 	Sim *simnet.Sim
 	Sys abcast.System
 	N   int
 
-	// setApply installs a per-replica delivery hook (payload only), used
-	// by the YCSB experiment to feed the replicated hash table.
-	setApply func(func(replica int, payload []byte))
-
-	// AcuerdoCluster is set when Kind == Acuerdo (election experiment).
-	AcuerdoCluster *acuerdo.Cluster
-	// DerechoCluster is set for the Derecho kinds (fault-injection
-	// ablations).
-	DerechoCluster *derecho.Cluster
-
-	// Fabric/Net is whichever interconnect the system runs on; exactly one
-	// is non-nil. The chaos adapter drives its cut/loss/spike surface.
-	Fabric *rdma.Fabric
-	Net    *tcpnet.Net
-
 	// Disks holds one simulated device per replica when the instance was
-	// built with Options.Durability != Volatile on a system that supports
-	// it (DurabilitySupported); nil otherwise. The chaos adapter drives its
-	// stall/torn/corrupt/full surface.
+	// built with Options.Durability != Volatile; nil otherwise. The chaos
+	// adapter drives its stall/torn/corrupt/full surface.
 	Disks []*disk.Device
 
-	// Per-system control closures behind the chaos.Target adapter: replica
-	// index -> interconnect node id / scheduler process, current leader,
-	// and the system's crash and recovery paths.
-	nodeID    func(i int) int
-	proc      func(i int) *simnet.Proc
-	leaderIdx func() int
-	crash     func(i int)
-	restart   func(i int)
-
-	// Recovery accounting behind the durable mode; nil on volatile
-	// instances and on systems with no durable mode.
-	diskRecovered  func() int64
-	fabricRecovery func() int64
+	// cluster is Sys's control surface; net is the interconnect it runs on.
+	cluster cluster
+	net     interconnect
 
 	// sharedInterconnect marks instances built on Options.SharedFabric or
 	// Options.SharedNet: Close must not release an interconnect other
@@ -118,19 +124,19 @@ type Instance struct {
 // DiskRecoveredBytes sums bytes read back from local disks during crash
 // recovery across the group; zero on volatile instances.
 func (inst *Instance) DiskRecoveredBytes() int64 {
-	if inst.diskRecovered == nil {
+	if inst.Disks == nil {
 		return 0
 	}
-	return inst.diskRecovered()
+	return inst.cluster.(durable).DiskRecoveredBytes()
 }
 
 // FabricRecoveryBytes sums payload bytes re-shipped over the interconnect to
 // refill crash-lost state across the group; zero on volatile instances.
 func (inst *Instance) FabricRecoveryBytes() int64 {
-	if inst.fabricRecovery == nil {
+	if inst.Disks == nil {
 		return 0
 	}
-	return inst.fabricRecovery()
+	return inst.cluster.(durable).FabricRecoveryBytes()
 }
 
 // DurableDigest folds every device's durable-content digest into one value:
@@ -152,8 +158,50 @@ func (inst *Instance) DurableDigest() uint64 {
 // (Options.SharedFabric) skip the release — the interconnect's owner
 // releases it once, after every instance on it is done.
 func (inst *Instance) Close() {
-	if inst.Fabric != nil && !inst.sharedInterconnect {
-		inst.Fabric.Release()
+	if !inst.sharedInterconnect {
+		release(inst.net)
+	}
+}
+
+// release returns a fabric's registered regions to their free lists; TCP
+// networks hold no pooled resources.
+func release(net interconnect) {
+	if r, ok := net.(interface{ Release() }); ok {
+		r.Release()
+	}
+}
+
+// replicaNode returns replica i's interconnect node id and CPU.
+func replicaNode(sys abcast.System, i int) (int, *simnet.Proc) {
+	switch c := sys.(type) {
+	case *acuerdo.Cluster:
+		return c.Replicas[i].Node.ID, c.Replicas[i].Node.Proc
+	case *derecho.Cluster:
+		return c.Group.Node(i).ID, c.Group.Node(i).Proc
+	case interface{ Node(int) *rdma.Node }: // apus
+		return c.Node(i).ID, c.Node(i).Proc
+	case interface{ Node(int) *tcpnet.Node }: // libpaxos, zookeeper, etcd
+		return c.Node(i).ID, c.Node(i).Proc
+	}
+	panic("bench: no replica nodes on " + sys.Name())
+}
+
+// setApply installs a per-replica delivery hook (payload only) on the
+// instance's system, replacing any previous one.
+func (inst *Instance) setApply(apply func(replica int, payload []byte)) {
+	switch c := inst.Sys.(type) {
+	case *acuerdo.Cluster:
+		c.OnDeliver = func(replica int, _ acuerdo.MsgHdr, payload []byte) { apply(replica, payload) }
+	case *derecho.Cluster:
+		c.OnDeliver = func(replica, _ int, _ uint64, payload []byte) { apply(replica, payload) }
+	case *apus.Cluster:
+		c.OnDeliver = func(replica int, _ uint64, payload []byte) { apply(replica, payload) }
+	case *paxos.Cluster:
+		c.OnDeliver = func(replica int, _ uint64, payload []byte) { apply(replica, payload) }
+	case *zab.Cluster:
+		c.OnDeliver = func(replica int, _ uint64, payload []byte) { apply(replica, payload) }
+	case *raft.Cluster:
+		c.OnDeliver = func(replica, _ int, payload []byte) { apply(replica, payload) }
 	}
 }
 
@@ -174,9 +222,9 @@ type Options struct {
 	// observer digest into seed-replay fingerprints.
 	Observer *observe.Observer
 	// Durability selects the storage model (Volatile, Durable, Amnesia).
-	// Non-volatile modes give every replica a simulated disk on systems
-	// that support one (DurabilitySupported); unsupported systems silently
-	// stay volatile so cross-system sweeps can share one Options value.
+	// Non-volatile modes give every replica a simulated disk; they are
+	// only defined for systems with a durable path (DurabilitySupported),
+	// and NewInstanceOn panics when asked for one on any other system.
 	Durability Durability
 	// DiskParams overrides the device model (nil = disk.DefaultParams).
 	DiskParams *disk.Params
@@ -191,219 +239,109 @@ type Options struct {
 	// ReplicaProcs, when non-nil, backs the instance's replica nodes with
 	// these pre-created CPUs (in replica order) instead of fresh per-node
 	// ones: replica i runs on ReplicaProcs[i]. The placement layer passes
-	// each group's fleet-node CPUs here, so co-located replicas of
-	// different groups time-share a core. Must have exactly n entries.
-	// Client nodes always get their own CPUs.
+	// each group's fleet-node CPUs here, so co-located replicas of different
+	// groups time-share a core. Must have exactly n entries; NewInstanceOn
+	// panics otherwise. Client nodes always get their own CPUs.
 	ReplicaProcs []*simnet.Proc
 }
 
 // NewInstance builds, starts, and warms up (leader elected) one system.
 func NewInstance(kind Kind, n int, seed int64, opt Options) *Instance {
 	inst := NewInstanceOn(simnet.New(seed), kind, n, opt)
-	sim := inst.Sim
-	// Warm up until a leader serves.
-	for i := 0; i < 400 && !inst.Sys.Ready(); i++ {
-		sim.RunFor(5 * time.Millisecond)
-	}
-	if !inst.Sys.Ready() {
-		panic(fmt.Sprintf("bench: %s/%d never became ready", kind, n))
-	}
+	inst.warmUp()
 	return inst
 }
 
-// fabricFor returns the RDMA interconnect an instance should build on —
-// the shared one when the placement layer provides it, a private one
-// otherwise — with any queued replica CPUs installed for the cluster's
-// upcoming AddNode calls.
-func fabricFor(sim *simnet.Sim, opt Options) *rdma.Fabric {
-	f := opt.SharedFabric
-	if f == nil {
-		f = rdma.NewFabric(sim, rdma.DefaultParams())
+// warmUp runs the simulation until the system serves (a leader is
+// elected), panicking if it never does.
+func (inst *Instance) warmUp() {
+	if !warmUp(inst.Sim, inst.Sys.Ready) {
+		panic(fmt.Sprintf("bench: %s/%d never became ready", inst.Sys.Name(), inst.N))
 	}
-	if opt.ReplicaProcs != nil {
-		f.ProvideProcs(opt.ReplicaProcs)
-	}
-	return f
 }
 
-// netFor is fabricFor's counterpart for the TCP-based systems.
-func netFor(sim *simnet.Sim, opt Options) *tcpnet.Net {
-	nt := opt.SharedNet
-	if nt == nil {
-		nt = tcpnet.New(sim, tcpnet.DefaultParams())
+// warmUp runs sim in 5 ms steps, for at most 2 s of simulated time, until
+// ready holds, and reports whether it did.
+func warmUp(sim *simnet.Sim, ready func() bool) bool {
+	for i := 0; i < 400 && !ready(); i++ {
+		sim.RunFor(5 * time.Millisecond)
 	}
-	if opt.ReplicaProcs != nil {
-		nt.ProvideProcs(opt.ReplicaProcs)
-	}
-	return nt
+	return ready()
 }
 
 // NewInstanceOn builds and starts one system on an existing simulator without
 // warming it up. The seed-replay harness uses this to construct the same
 // system twice on two identically seeded simulators.
 func NewInstanceOn(sim *simnet.Sim, kind Kind, n int, opt Options) *Instance {
+	if opt.ReplicaProcs != nil && len(opt.ReplicaProcs) != n {
+		panic(fmt.Sprintf("bench: %d ReplicaProcs for a %d-replica %s", len(opt.ReplicaProcs), n, kind))
+	}
+	if opt.Durability != Volatile && !DurabilitySupported(kind) {
+		panic(fmt.Sprintf("bench: %s has no %s storage mode", kind, opt.Durability))
+	}
 	if opt.Tracer != nil {
 		sim.SetTracer(opt.Tracer)
 	}
 	inst := &Instance{Sim: sim, N: n}
 	inst.sharedInterconnect = opt.SharedFabric != nil || opt.SharedNet != nil
-	// newDisks builds the per-replica devices for non-volatile modes; the
-	// caller attaches them only on systems with a durable path.
-	newDisks := func() []*disk.Device {
-		if opt.Durability == Volatile {
-			return nil
+	// The interconnect is chosen with the system; either way the replica
+	// CPUs are queued before the cluster's AddNode calls consume them.
+	fabric := func() *rdma.Fabric {
+		f := opt.SharedFabric
+		if f == nil {
+			f = rdma.NewFabric(sim, rdma.DefaultParams())
 		}
-		p := disk.DefaultParams()
-		if opt.DiskParams != nil {
-			p = *opt.DiskParams
-		}
-		devs := make([]*disk.Device, n)
-		for i := range devs {
-			devs[i] = disk.NewDevice(sim, i, p)
-		}
-		return devs
+		f.ProvideProcs(opt.ReplicaProcs)
+		inst.net = f
+		return f
 	}
+	network := func() *tcpnet.Net {
+		nt := opt.SharedNet
+		if nt == nil {
+			nt = tcpnet.New(sim, tcpnet.DefaultParams())
+		}
+		nt.ProvideProcs(opt.ReplicaProcs)
+		inst.net = nt
+		return nt
+	}
+	var c cluster
 	switch kind {
 	case Acuerdo:
-		fabric := fabricFor(sim, opt)
 		cfg := acuerdo.DefaultClusterConfig(n)
 		if opt.AcuerdoConfig != nil {
 			cfg.Replica = *opt.AcuerdoConfig
 		}
 		cfg.Desched = opt.Desched
-		c := acuerdo.NewCluster(sim, fabric, cfg)
-		c.SetObserver(opt.Observer)
-		if devs := newDisks(); devs != nil {
-			c.SetDisks(devs)
-			inst.Disks = devs
-			inst.diskRecovered = c.DiskRecoveredBytes
-			inst.fabricRecovery = c.FabricRecoveryBytes
-		}
-		c.Start()
-		inst.Sys = c
-		inst.AcuerdoCluster = c
-		inst.Fabric = fabric
-		inst.nodeID = func(i int) int { return c.Replicas[i].Node.ID }
-		inst.proc = func(i int) *simnet.Proc { return c.Replicas[i].Node.Proc }
-		inst.leaderIdx = c.LeaderIdx
-		inst.crash = func(i int) { c.Replicas[i].Crash() }
-		inst.restart = func(i int) { c.Replicas[i].Restart() }
-		inst.setApply = func(apply func(int, []byte)) {
-			c.OnDeliver = func(replica int, hdr acuerdo.MsgHdr, payload []byte) {
-				apply(replica, payload)
-			}
-		}
-	case DerechoLeader, DerechoAll:
-		fabric := fabricFor(sim, opt)
-		mode := derecho.LeaderMode
-		if kind == DerechoAll {
-			mode = derecho.AllMode
-		}
-		c := derecho.NewCluster(sim, fabric, derecho.DefaultConfig(n, mode))
-		c.SetObserver(opt.Observer)
-		c.Start()
-		inst.Sys = c
-		inst.DerechoCluster = c
-		inst.Fabric = fabric
-		inst.nodeID = func(i int) int { return c.Group.Node(i).ID }
-		inst.proc = func(i int) *simnet.Proc { return c.Group.Node(i).Proc }
-		inst.leaderIdx = c.LeaderIdx
-		inst.crash = c.Crash
-		inst.restart = c.Restart
-		inst.setApply = func(apply func(int, []byte)) {
-			c.OnDeliver = func(replica, sender int, idx uint64, payload []byte) {
-				apply(replica, payload)
-			}
-		}
+		c = acuerdo.NewCluster(sim, fabric(), cfg)
+	case DerechoLeader:
+		c = derecho.NewCluster(sim, fabric(), derecho.DefaultConfig(n, derecho.LeaderMode))
+	case DerechoAll:
+		c = derecho.NewCluster(sim, fabric(), derecho.DefaultConfig(n, derecho.AllMode))
 	case Apus:
-		fabric := fabricFor(sim, opt)
-		c := apus.NewCluster(sim, fabric, apus.DefaultConfig(n))
-		c.SetObserver(opt.Observer)
-		c.Start()
-		inst.Sys = c
-		inst.Fabric = fabric
-		inst.nodeID = func(i int) int { return c.Node(i).ID }
-		inst.proc = func(i int) *simnet.Proc { return c.Node(i).Proc }
-		inst.leaderIdx = c.LeaderIdx
-		inst.crash = c.Crash
-		inst.restart = c.Restart
-		inst.setApply = func(apply func(int, []byte)) {
-			c.OnDeliver = func(replica int, idx uint64, payload []byte) {
-				apply(replica, payload)
-			}
-		}
+		c = apus.NewCluster(sim, fabric(), apus.DefaultConfig(n))
 	case Libpaxos:
-		net := netFor(sim, opt)
-		c := paxos.NewCluster(sim, net, paxos.DefaultConfig(n))
-		c.SetObserver(opt.Observer)
-		if devs := newDisks(); devs != nil {
-			c.SetDisks(devs)
-			inst.Disks = devs
-			inst.diskRecovered = func() int64 { return c.DiskRecoveredBytes }
-			inst.fabricRecovery = func() int64 { return c.FabricRecoveryBytes }
-		}
-		c.Start()
-		inst.Sys = c
-		inst.Net = net
-		inst.nodeID = func(i int) int { return c.Node(i).ID }
-		inst.proc = func(i int) *simnet.Proc { return c.Node(i).Proc }
-		inst.leaderIdx = c.LeaderIdx
-		inst.crash = c.Crash
-		inst.restart = c.Restart
-		inst.setApply = func(apply func(int, []byte)) {
-			c.OnDeliver = func(replica int, inst uint64, payload []byte) {
-				apply(replica, payload)
-			}
-		}
+		c = paxos.NewCluster(sim, network(), paxos.DefaultConfig(n))
 	case Zookeeper:
-		net := netFor(sim, opt)
-		c := zab.NewCluster(sim, net, zab.DefaultConfig(n))
-		c.SetObserver(opt.Observer)
-		if devs := newDisks(); devs != nil {
-			c.SetDisks(devs)
-			inst.Disks = devs
-			inst.diskRecovered = func() int64 { return c.DiskRecoveredBytes }
-			inst.fabricRecovery = func() int64 { return c.FabricRecoveryBytes }
-		}
-		c.Start()
-		inst.Sys = c
-		inst.Net = net
-		inst.nodeID = func(i int) int { return c.Node(i).ID }
-		inst.proc = func(i int) *simnet.Proc { return c.Node(i).Proc }
-		inst.leaderIdx = c.LeaderIdx
-		inst.crash = c.Crash
-		inst.restart = c.Restart
-		inst.setApply = func(apply func(int, []byte)) {
-			c.OnDeliver = func(replica int, zxid uint64, payload []byte) {
-				apply(replica, payload)
-			}
-		}
+		c = zab.NewCluster(sim, network(), zab.DefaultConfig(n))
 	case Etcd:
-		net := netFor(sim, opt)
-		c := raft.NewCluster(sim, net, raft.DefaultConfig(n))
-		c.SetObserver(opt.Observer)
-		if devs := newDisks(); devs != nil {
-			c.SetDisks(devs)
-			inst.Disks = devs
-			inst.diskRecovered = func() int64 { return c.DiskRecoveredBytes }
-			inst.fabricRecovery = func() int64 { return c.FabricRecoveryBytes }
-		}
-		c.Start()
-		inst.Sys = c
-		inst.Net = net
-		inst.nodeID = func(i int) int { return c.Node(i).ID }
-		inst.proc = func(i int) *simnet.Proc { return c.Node(i).Proc }
-		inst.leaderIdx = c.LeaderIdx
-		inst.crash = c.Crash
-		inst.restart = c.Restart
-		inst.setApply = func(apply func(int, []byte)) {
-			c.OnDeliver = func(replica, idx int, payload []byte) {
-				apply(replica, payload)
-			}
-		}
+		c = raft.NewCluster(sim, network(), raft.DefaultConfig(n))
 	default:
 		panic("bench: unknown system " + string(kind))
 	}
+	c.SetObserver(opt.Observer)
+	if opt.Durability != Volatile {
+		p := disk.DefaultParams()
+		if opt.DiskParams != nil {
+			p = *opt.DiskParams
+		}
+		inst.Disks = make([]*disk.Device, n)
+		for i := range inst.Disks {
+			inst.Disks[i] = disk.NewDevice(sim, i, p)
+		}
+		c.(durable).SetDisks(inst.Disks)
+	}
+	c.Start()
+	inst.Sys, inst.cluster = c, c
 	return inst
 }
 
@@ -481,12 +419,7 @@ func RunPoint(kind Kind, cfg Fig8Config, i int) abcast.LoadResult {
 		opt.Observer = obs
 	}
 	inst := NewInstanceOn(sim, kind, cfg.Nodes, opt)
-	for w := 0; w < 400 && !inst.Sys.Ready(); w++ {
-		sim.RunFor(5 * time.Millisecond)
-	}
-	if !inst.Sys.Ready() {
-		panic(fmt.Sprintf("bench: %s/%d never became ready", kind, cfg.Nodes))
-	}
+	inst.warmUp()
 	res := abcast.RunClosedLoop(inst.Sim, inst.Sys, abcast.LoadConfig{
 		Window:       cfg.Windows[i],
 		MsgSize:      cfg.MsgSize,
@@ -701,7 +634,7 @@ func ElectionBench(cfg ElectionConfig) ElectionResult {
 		Desched:       cfg.Desched,
 		AcuerdoConfig: &acfg,
 	})
-	c := inst.AcuerdoCluster
+	c := inst.Sys.(*acuerdo.Cluster)
 	sim := inst.Sim
 	// The long-latency machines (spread away from the initial leader so
 	// they act as regular followers).

@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"fmt"
 	"io"
 	"testing"
 	"time"
 
 	"acuerdo/internal/abcast"
+	"acuerdo/internal/simnet"
 )
 
 // quickFig8 shrinks one load point per system for test speed.
@@ -97,11 +99,8 @@ func TestElectionBenchProducesDurations(t *testing.T) {
 }
 
 func TestYCSBShape(t *testing.T) {
-	cfg := DefaultYCSB(3)
-	cfg.Measure = 10 * time.Millisecond
-	a := RunYCSB(Acuerdo, cfg)
-	z := RunYCSB(Zookeeper, cfg)
-	e := RunYCSB(Etcd, cfg)
+	res, _ := Figure9Parallel([]int{3}, 1, 1)
+	a, e, z := res[0], res[1], res[2]
 	if a.Committed == 0 || z.Committed == 0 || e.Committed == 0 {
 		t.Fatalf("committed: a=%d z=%d e=%d", a.Committed, z.Committed, e.Committed)
 	}
@@ -113,10 +112,42 @@ func TestYCSBShape(t *testing.T) {
 	}
 }
 
+// TestReplicaProcsLengthEnforced: replica i runs on ReplicaProcs[i] when
+// the slice has exactly n entries, and any other length fails construction
+// instead of landing a client on a fleet CPU or leaking surplus CPUs into
+// the next group on a shared interconnect.
+func TestReplicaProcsLengthEnforced(t *testing.T) {
+	const n = 3
+	for _, kind := range AllKinds {
+		t.Run(string(kind), func(t *testing.T) {
+			build := func(procs int) (*Instance, []*simnet.Proc) {
+				sim := simnet.New(1)
+				o := Options{ReplicaProcs: make([]*simnet.Proc, procs)}
+				for i := range o.ReplicaProcs {
+					o.ReplicaProcs[i] = simnet.NewProc(sim, 1000+i, fmt.Sprintf("fleet%d", i))
+				}
+				return NewInstanceOn(sim, kind, n, o), o.ReplicaProcs
+			}
+			inst, procs := build(n)
+			defer inst.Close()
+			for i := 0; i < n; i++ {
+				if _, p := replicaNode(inst.Sys, i); p != procs[i] {
+					t.Fatalf("replica %d runs on %v, want ReplicaProcs[%d]", i, p, i)
+				}
+			}
+			for _, procs := range []int{n - 1, n + 1} {
+				if !panics(func() { build(procs) }) {
+					t.Fatalf("%d ReplicaProcs for %d replicas did not panic", procs, n)
+				}
+			}
+		})
+	}
+}
+
 func TestPrintersDoNotPanic(t *testing.T) {
 	cfg := quickFig8(3, 10)
 	res := map[Kind][]abcast.LoadResult{Acuerdo: SweepSystem(Acuerdo, cfg)}
 	PrintFigure8(io.Discard, "test", cfg, res, []Kind{Acuerdo})
 	PrintTable1(io.Discard, []Table1Row{{Quiet: ElectionResult{Nodes: 3, Durations: []time.Duration{time.Millisecond}}}})
-	PrintFigure9(io.Discard, map[Kind][]YCSBResult{Acuerdo: {{System: "acuerdo", Nodes: 3}}})
+	PrintFigure9(io.Discard, []PlacementResult{{System: "acuerdo", Config: DefaultYCSB(Acuerdo, 3)}})
 }

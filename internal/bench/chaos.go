@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"acuerdo/internal/abcast"
+	"acuerdo/internal/acuerdo"
 	"acuerdo/internal/chaos"
 	"acuerdo/internal/observe"
 	"acuerdo/internal/simnet"
@@ -23,65 +24,73 @@ import (
 // Link actions are given in replica-index space and translated to
 // interconnect node ids here, so plans are portable across systems whose
 // node-id layouts differ.
-type chaosTarget struct{ inst *Instance }
+type chaosTarget struct {
+	inst *Instance
+	// checker, when non-nil, is told of every restart so the recovered
+	// prefix the replica re-delivers is absorbed as a replay.
+	checker *abcast.Checker
+	// amnesia wipes the victim's disk at every crash, and tells obs the
+	// durable floor is gone so the lost frontier is not a violation.
+	amnesia bool
+	obs     *observe.Observer
+}
 
 // ChaosTarget exposes the instance's fault-control surface.
-func (inst *Instance) ChaosTarget() chaos.Target { return chaosTarget{inst} }
+func (inst *Instance) ChaosTarget() chaos.Target { return chaosTarget{inst: inst} }
 
 // Replicas reports the cluster size.
 func (t chaosTarget) Replicas() int { return t.inst.N }
 
 // Leader reports the current leader's replica index.
-func (t chaosTarget) Leader() int { return t.inst.leaderIdx() }
+func (t chaosTarget) Leader() int { return t.inst.cluster.LeaderIdx() }
 
 // Crash kills replica i through the system's own crash path.
-func (t chaosTarget) Crash(i int) { t.inst.crash(i) }
+func (t chaosTarget) Crash(i int) {
+	t.inst.cluster.Crash(i)
+	if t.amnesia {
+		t.inst.Disks[i].Wipe()
+		t.obs.DiskFault(i, int64(t.inst.Sim.Now()))
+	}
+}
 
 // Restart brings a crashed replica i back through the system's recovery path.
-func (t chaosTarget) Restart(i int) { t.inst.restart(i) }
+func (t chaosTarget) Restart(i int) {
+	if t.checker != nil {
+		t.checker.NodeRestart(i)
+	}
+	t.inst.cluster.Restart(i)
+}
 
 // Pause deschedules replica i's process for d of simulated time.
-func (t chaosTarget) Pause(i int, d time.Duration) { t.inst.proc(i).Pause(d) }
+func (t chaosTarget) Pause(i int, d time.Duration) {
+	_, proc := replicaNode(t.inst.Sys, i)
+	proc.Pause(d)
+}
+
+// link translates the replica pair (i, j) to interconnect node ids.
+func (t chaosTarget) link(i, j int) (int, int) {
+	a, _ := replicaNode(t.inst.Sys, i)
+	b, _ := replicaNode(t.inst.Sys, j)
+	return a, b
+}
 
 // CutOneWay drops all traffic from replica i to replica j.
-func (t chaosTarget) CutOneWay(i, j int) {
-	a, b := t.inst.nodeID(i), t.inst.nodeID(j)
-	if t.inst.Fabric != nil {
-		t.inst.Fabric.PartitionOneWay(a, b)
-	} else {
-		t.inst.Net.PartitionOneWay(a, b)
-	}
-}
+func (t chaosTarget) CutOneWay(i, j int) { t.inst.net.PartitionOneWay(t.link(i, j)) }
 
 // HealOneWay restores the i→j direction cut by CutOneWay.
-func (t chaosTarget) HealOneWay(i, j int) {
-	a, b := t.inst.nodeID(i), t.inst.nodeID(j)
-	if t.inst.Fabric != nil {
-		t.inst.Fabric.HealOneWay(a, b)
-	} else {
-		t.inst.Net.HealOneWay(a, b)
-	}
-}
+func (t chaosTarget) HealOneWay(i, j int) { t.inst.net.HealOneWay(t.link(i, j)) }
 
 // SetLoss sets the loss probability on the i↔j link (0 clears it).
 func (t chaosTarget) SetLoss(i, j int, p float64) {
-	a, b := t.inst.nodeID(i), t.inst.nodeID(j)
-	if t.inst.Fabric != nil {
-		t.inst.Fabric.SetLoss(a, b, p)
-	} else {
-		t.inst.Net.SetLoss(a, b, p)
-	}
+	a, b := t.link(i, j)
+	t.inst.net.SetLoss(a, b, p)
 }
 
 // SetLatencySpike adds d of extra one-way latency on the i↔j link
 // (0 clears it).
 func (t chaosTarget) SetLatencySpike(i, j int, d time.Duration) {
-	a, b := t.inst.nodeID(i), t.inst.nodeID(j)
-	if t.inst.Fabric != nil {
-		t.inst.Fabric.SetLatencySpike(a, b, d)
-	} else {
-		t.inst.Net.SetLatencySpike(a, b, d)
-	}
+	a, b := t.link(i, j)
+	t.inst.net.SetLatencySpike(a, b, d)
 }
 
 // DiskStall opens an fsync-stall window of d on replica i's disk; a no-op
@@ -144,8 +153,8 @@ type ChaosConfig struct {
 	// observers-off hot path stays hook-free (nil-receiver no-ops).
 	Observe bool
 	// Durability selects the storage model (Volatile, Durable, Amnesia).
-	// Systems with no durable mode run volatile regardless, so cross-system
-	// tables can share one configuration.
+	// Non-volatile modes are only defined for the systems with a durable
+	// path (DurabilitySupported); RunScenario panics on any other.
 	Durability Durability
 }
 
@@ -254,38 +263,20 @@ func RunScenario(kind Kind, sc chaos.Scenario, cfg ChaosConfig) ChaosResult {
 		opt.Observer = obs
 	}
 	inst := NewInstanceOn(sim, kind, cfg.Nodes, opt)
-	for i := 0; i < 400 && !inst.Sys.Ready(); i++ {
-		sim.RunFor(5 * time.Millisecond)
-	}
-	if !inst.Sys.Ready() {
-		panic(fmt.Sprintf("chaos: %s/%d never became ready", kind, cfg.Nodes))
-	}
+	inst.warmUp()
 	res := ChaosResult{Kind: kind, Plan: sc.Name, Durability: cfg.Durability}
 
 	// Safety: every delivery at every replica feeds the shared checker.
 	checker := abcast.NewChecker(cfg.Nodes)
+	target := chaosTarget{inst: inst}
 	if inst.Disks != nil {
 		// Durable restarts replay the recovered prefix from position zero;
 		// the checker's replay window absorbs the retrace. Amnesia wipes the
 		// victim's disk at crash time — the node rejoins with nothing, the
-		// worst-case fabric-bytes baseline — and the observer is told the
-		// durable floor is gone so the lost frontier is not a violation.
-		baseRestart := inst.restart
-		inst.restart = func(i int) {
-			checker.NodeRestart(i)
-			baseRestart(i)
-		}
-		if cfg.Durability == Amnesia {
-			baseCrash := inst.crash
-			disks := inst.Disks
-			inst.crash = func(i int) {
-				baseCrash(i)
-				disks[i].Wipe()
-				if obs != nil {
-					obs.DiskFault(i, int64(sim.Now()))
-				}
-			}
-		}
+		// worst-case fabric-bytes baseline.
+		target.checker = checker
+		target.amnesia = cfg.Durability == Amnesia
+		target.obs = obs
 	}
 	inst.setApply(func(replica int, payload []byte) {
 		if len(payload) < 8 {
@@ -328,7 +319,7 @@ func RunScenario(kind Kind, sc chaos.Scenario, cfg ChaosConfig) ChaosResult {
 		panic("chaos: " + err.Error())
 	}
 	faultStart := sim.Now().Add(cfg.Settle)
-	engine := chaos.NewEngine(sim, inst.ChaosTarget())
+	engine := chaos.NewEngine(sim, target)
 	engine.Schedule(faultStart, plan)
 
 	// Watchdog on the ack stream: a wedged run (quorum gone, fixed leader
@@ -368,7 +359,7 @@ func RunScenario(kind Kind, sc chaos.Scenario, cfg ChaosConfig) ChaosResult {
 	if res.SafetyErr == nil {
 		res.SafetyErr = checker.CheckTotalOrder()
 	}
-	if c := inst.AcuerdoCluster; c != nil {
+	if c, ok := inst.Sys.(*acuerdo.Cluster); ok {
 		for _, r := range c.Replicas {
 			if r.WonAt >= faultStart {
 				res.Elections = append(res.Elections, r.WonAt.Sub(r.SuspectedAt))

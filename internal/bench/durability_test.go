@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"acuerdo/internal/chaos"
+	"acuerdo/internal/simnet"
 )
 
 // DurableKinds lists the systems with a durable storage mode, in run order.
@@ -155,21 +156,34 @@ func TestVolatileChaosResultUnchanged(t *testing.T) {
 	}
 }
 
-// TestDurabilityUnsupportedKindsStayVolatile: Derecho and APUS have no
-// durable mode; asking for one must leave them volatile rather than panic,
-// so cross-system sweeps can share a configuration.
-func TestDurabilityUnsupportedKindsStayVolatile(t *testing.T) {
+// TestDurabilityUnsupportedKindsRejected: Derecho and APUS have no durable
+// mode, so asking for one must fail loudly instead of quietly running
+// volatile; and DurabilitySupported must name exactly the systems whose
+// cluster implements the durable contract.
+func TestDurabilityUnsupportedKindsRejected(t *testing.T) {
 	for _, kind := range AllKinds {
-		want := kind == Acuerdo || kind == Etcd || kind == Libpaxos || kind == Zookeeper
-		if got := DurabilitySupported(kind); got != want {
-			t.Fatalf("DurabilitySupported(%s) = %v, want %v", kind, got, want)
-		}
+		t.Run(string(kind), func(t *testing.T) {
+			inst := NewInstanceOn(simnet.New(1), kind, 3, Options{})
+			defer inst.Close()
+			_, isDurable := inst.Sys.(durable)
+			if got := DurabilitySupported(kind); got != isDurable {
+				t.Fatalf("DurabilitySupported = %v, but the cluster implements durable: %v", got, isDurable)
+			}
+			if isDurable {
+				return
+			}
+			for _, mode := range []Durability{Durable, Amnesia} {
+				if !panics(func() { NewInstanceOn(simnet.New(1), kind, 3, Options{Durability: mode}) }) {
+					t.Fatalf("%s mode on a system without one did not panic", mode)
+				}
+			}
+		})
 	}
-	inst := NewInstance(Apus, 3, 1, Options{Durability: Durable})
-	if inst.Disks != nil {
-		t.Fatal("apus grew disks despite having no durable mode")
-	}
-	if inst.DurableDigest() != 0 || inst.DiskRecoveredBytes() != 0 {
-		t.Fatal("volatile instance reports durability accounting")
-	}
+}
+
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }

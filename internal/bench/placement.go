@@ -87,10 +87,13 @@ type PlacementWorld struct {
 	// FleetProcs are the shared CPUs, one per fleet node; group replicas
 	// run on the proc of the fleet node the map placed them on.
 	FleetProcs []*simnet.Proc
-	// Fabric/Net is the shared interconnect; exactly one is non-nil,
-	// matching the system class (RDMA vs TCP).
-	Fabric *rdma.Fabric
-	Net    *tcpnet.Net
+
+	// net is the shared interconnect, an RDMA fabric or a TCP network
+	// matching the system class.
+	net interconnect
+	// checkers holds each group's safety checker once RunPlacementLoad
+	// has started load; the chaos target tells them of restarts.
+	checkers []*abcast.Checker
 }
 
 // NewPlacementWorld builds and starts every group of m as a kind ring on
@@ -109,11 +112,11 @@ func NewPlacementWorld(kind Kind, m *placement.Map, seed int64, withObservers bo
 	var opt Options
 	switch kind {
 	case Acuerdo, DerechoLeader, DerechoAll, Apus:
-		w.Fabric = rdma.NewFabric(sim, rdma.DefaultParams())
-		opt.SharedFabric = w.Fabric
+		opt.SharedFabric = rdma.NewFabric(sim, rdma.DefaultParams())
+		w.net = opt.SharedFabric
 	default:
-		w.Net = tcpnet.New(sim, tcpnet.DefaultParams())
-		opt.SharedNet = w.Net
+		opt.SharedNet = tcpnet.New(sim, tcpnet.DefaultParams())
+		w.net = opt.SharedNet
 	}
 	for _, g := range m.Groups {
 		procs := make([]*simnet.Proc, len(g.Members))
@@ -146,10 +149,7 @@ func (w *PlacementWorld) Ready() bool {
 // WarmUp runs the simulation until every group is ready, panicking if any
 // group never elects (mirroring NewInstance's single-ring warmup).
 func (w *PlacementWorld) WarmUp() {
-	for i := 0; i < 400 && !w.Ready(); i++ {
-		w.Sim.RunFor(5 * time.Millisecond)
-	}
-	if !w.Ready() {
+	if !warmUp(w.Sim, w.Ready) {
 		for pg, inst := range w.Insts {
 			if !inst.Sys.Ready() {
 				panic(fmt.Sprintf("placement: pg %d (%s on fleet %v) never became ready",
@@ -161,11 +161,7 @@ func (w *PlacementWorld) WarmUp() {
 
 // Close releases the shared interconnect's pooled resources once, after
 // every group is done (per-instance Close skips shared interconnects).
-func (w *PlacementWorld) Close() {
-	if w.Fabric != nil {
-		w.Fabric.Release()
-	}
-}
+func (w *PlacementWorld) Close() { release(w.net) }
 
 // fleetTarget adapts a multi-group world to the chaos engine: node indices
 // are fleet nodes, and every action fans out to the co-located replicas —
@@ -183,7 +179,7 @@ func (t fleetTarget) Replicas() int { return t.w.Map.Config.Fleet }
 // Leader resolves the Leader sentinel to the fleet node currently leading
 // group 0 — the storm's designated victim group.
 func (t fleetTarget) Leader() int {
-	li := t.w.Insts[0].leaderIdx()
+	li := t.w.Insts[0].cluster.LeaderIdx()
 	if li < 0 {
 		return -1
 	}
@@ -194,15 +190,20 @@ func (t fleetTarget) Leader() int {
 // own ring's crash path.
 func (t fleetTarget) Crash(k int) {
 	for _, pr := range t.w.Map.HostedOn(k) {
-		t.w.Insts[pr[0]].crash(pr[1])
+		t.w.Insts[pr[0]].cluster.Crash(pr[1])
 	}
 }
 
 // Restart recovers fleet node k: every hosted group replica rejoins
-// through its own ring's recovery path.
+// through its own ring's recovery path. Once load runs, each group's
+// checker is told first, so the replica's re-delivered prefix is absorbed
+// as a replay.
 func (t fleetTarget) Restart(k int) {
 	for _, pr := range t.w.Map.HostedOn(k) {
-		t.w.Insts[pr[0]].restart(pr[1])
+		if t.w.checkers != nil {
+			t.w.checkers[pr[0]].NodeRestart(pr[1])
+		}
+		t.w.Insts[pr[0]].cluster.Restart(pr[1])
 	}
 }
 
@@ -211,10 +212,10 @@ func (t fleetTarget) Restart(k int) {
 func (t fleetTarget) Pause(k int, d time.Duration) { t.w.FleetProcs[k].Pause(d) }
 
 // eachLink applies f to every intra-group interconnect link between a
-// replica hosted on fleet node i and one hosted on fleet node j. Groups
-// never talk across rings, so these are the only links a fleet-level
-// link fault can touch.
-func (t fleetTarget) eachLink(i, j int, f func(inst *Instance, a, b int)) {
+// replica hosted on fleet node i and one hosted on fleet node j, given as
+// node ids. Groups never talk across rings, so these are the only links a
+// fleet-level link fault can touch.
+func (t fleetTarget) eachLink(i, j int, f func(a, b int)) {
 	for pg, inst := range t.w.Insts {
 		g := t.w.Map.Groups[pg]
 		for ri, ni := range g.Members {
@@ -225,55 +226,29 @@ func (t fleetTarget) eachLink(i, j int, f func(inst *Instance, a, b int)) {
 				if nj != j || rj == ri {
 					continue
 				}
-				f(inst, inst.nodeID(ri), inst.nodeID(rj))
+				a, _ := replicaNode(inst.Sys, ri)
+				b, _ := replicaNode(inst.Sys, rj)
+				f(a, b)
 			}
 		}
 	}
 }
 
 // CutOneWay drops the i→j direction of every co-hosted intra-group link.
-func (t fleetTarget) CutOneWay(i, j int) {
-	t.eachLink(i, j, func(inst *Instance, a, b int) {
-		if inst.Fabric != nil {
-			inst.Fabric.PartitionOneWay(a, b)
-		} else {
-			inst.Net.PartitionOneWay(a, b)
-		}
-	})
-}
+func (t fleetTarget) CutOneWay(i, j int) { t.eachLink(i, j, t.w.net.PartitionOneWay) }
 
 // HealOneWay restores the i→j direction cut by CutOneWay.
-func (t fleetTarget) HealOneWay(i, j int) {
-	t.eachLink(i, j, func(inst *Instance, a, b int) {
-		if inst.Fabric != nil {
-			inst.Fabric.HealOneWay(a, b)
-		} else {
-			inst.Net.HealOneWay(a, b)
-		}
-	})
-}
+func (t fleetTarget) HealOneWay(i, j int) { t.eachLink(i, j, t.w.net.HealOneWay) }
 
 // SetLoss installs/clears loss on every co-hosted intra-group link.
 func (t fleetTarget) SetLoss(i, j int, p float64) {
-	t.eachLink(i, j, func(inst *Instance, a, b int) {
-		if inst.Fabric != nil {
-			inst.Fabric.SetLoss(a, b, p)
-		} else {
-			inst.Net.SetLoss(a, b, p)
-		}
-	})
+	t.eachLink(i, j, func(a, b int) { t.w.net.SetLoss(a, b, p) })
 }
 
 // SetLatencySpike installs/clears extra latency on every co-hosted
 // intra-group link.
 func (t fleetTarget) SetLatencySpike(i, j int, d time.Duration) {
-	t.eachLink(i, j, func(inst *Instance, a, b int) {
-		if inst.Fabric != nil {
-			inst.Fabric.SetLatencySpike(a, b, d)
-		} else {
-			inst.Net.SetLatencySpike(a, b, d)
-		}
-	})
+	t.eachLink(i, j, func(a, b int) { t.w.net.SetLatencySpike(a, b, d) })
 }
 
 // DiskStall is a no-op: placement worlds run the volatile storage model.
@@ -407,6 +382,7 @@ func RunPlacementLoad(w *PlacementWorld, cfg PlacementConfig) PlacementResult {
 	}
 	loads := newPGWorkloads(m, cfg.Records, cfg.Value, cfg.Seed)
 	checkers := make([]*abcast.Checker, m.Config.PGs)
+	w.checkers = checkers
 	measuring := false
 	sim := w.Sim
 
@@ -428,14 +404,6 @@ func RunPlacementLoad(w *PlacementWorld, cfg PlacementConfig) PlacementResult {
 				pr.SafetyErr = err
 			}
 		})
-		// Crashed replicas re-deliver their recovered prefix on restart;
-		// tell the checker so the retrace is absorbed, exactly as the
-		// single-ring chaos harness does.
-		baseRestart := inst.restart
-		inst.restart = func(i int) {
-			checker.NodeRestart(i)
-			baseRestart(i)
-		}
 
 		load := loads[pg]
 		// nextID shadows kvstore.Replicated's op-ID counter (both advance
@@ -549,6 +517,60 @@ func RunPlacementSweep(cfgs []PlacementConfig, workers int) ([]PlacementResult, 
 	return sweep.Run(len(cfgs), workers, func(i int) PlacementResult {
 		return RunPlacementYCSB(cfgs[i])
 	})
+}
+
+// --- Figure 9: YCSB-load throughput vs node count ---
+
+// YCSBSystems is the Figure 9 comparison set.
+var YCSBSystems = []Kind{Acuerdo, Etcd, Zookeeper}
+
+// DefaultYCSB returns the calibrated Figure 9 configuration for one kind
+// ring of the given size: the YCSB-load workload (100% writes, zipfian
+// .99) against the replicated hash table, run as the single-group case of
+// the placement path — one PG whose replicas each own a fleet node.
+func DefaultYCSB(kind Kind, nodes int) PlacementConfig {
+	return PlacementConfig{
+		Kind:        kind,
+		Placement:   placement.Config{PGs: 1, PGSize: nodes, Fleet: nodes, Domains: nodes, Seed: 1},
+		WindowPerPG: 64,
+		Records:     10000,
+		Value:       100,
+		Warmup:      5 * time.Millisecond,
+		Measure:     30 * time.Millisecond,
+		Seed:        1,
+	}
+}
+
+// Figure9Parallel runs the (system × node count) grid with default
+// per-count configurations on a worker pool, in system-major order.
+// workers <= 0 selects GOMAXPROCS.
+func Figure9Parallel(counts []int, seed int64, workers int) ([]PlacementResult, sweep.Report) {
+	if counts == nil {
+		counts = []int{3, 5, 7, 9}
+	}
+	var cfgs []PlacementConfig
+	for _, k := range YCSBSystems {
+		for _, n := range counts {
+			cfg := DefaultYCSB(k, n)
+			cfg.Seed = seed
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	return RunPlacementSweep(cfgs, workers)
+}
+
+// PrintFigure9 renders Figure 9 from single-group placement results.
+func PrintFigure9(w io.Writer, results []PlacementResult) {
+	fmt.Fprintln(w, "Figure 9: YCSB-load throughput (ops/sec) vs node count")
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(tw, "system\tnodes\tops/sec\tlat-mean(us)\tlat-p50(us)\tlat-p99(us)\n")
+	for i := range results {
+		r := &results[i]
+		s := r.Latency.Export()
+		fmt.Fprintf(tw, "%s\t%d\t%.0f\t%.1f\t%.1f\t%.1f\n",
+			r.System, r.Config.Placement.PGSize, r.OpsPerSec, us(s.Mean), us(s.P50), us(s.P99))
+	}
+	tw.Flush()
 }
 
 // VerifyPlacementReplay runs the same configuration `runs` times and fails

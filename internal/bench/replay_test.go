@@ -5,19 +5,11 @@ import (
 	"time"
 
 	"acuerdo/internal/abcast"
-	"acuerdo/internal/simnet"
 )
 
-// replayBuilder adapts one benched system kind to the seed-replay harness:
-// the instance is constructed on the harness's simulator and its per-replica
-// delivery hook is routed into the harness's checker.
-func replayBuilder(kind Kind) abcast.SystemBuilder {
-	return func(sim *simnet.Sim, deliver func(replica int, payload []byte)) abcast.System {
-		inst := NewInstanceOn(sim, kind, 3, Options{})
-		inst.setApply(deliver)
-		return inst.Sys
-	}
-}
+// replayBuilder adapts one benched system kind, at three replicas and
+// without observers, to the seed-replay harness.
+func replayBuilder(kind Kind) abcast.SystemBuilder { return ReplayBuilder(kind, 3, false) }
 
 // TestDeterministicReplay enforces the simulation's core invariant over every
 // system in the Figure 8 comparison: two runs from the same seed must produce

@@ -115,12 +115,12 @@ type Cluster struct {
 	pending  map[uint64]func()
 	obs      *observe.Observer
 
-	// FabricRecoveryBytes counts payload bytes re-shipped over the network
+	// fabricRecoveryBytes counts payload bytes re-shipped over the network
 	// to refill a restarted learner's pre-crash instances;
-	// DiskRecoveredBytes counts bytes read back from local logs during
+	// diskRecoveredBytes counts bytes read back from local logs during
 	// crash recovery (durable mode only).
-	FabricRecoveryBytes int64
-	DiskRecoveredBytes  int64
+	fabricRecoveryBytes int64
+	diskRecoveredBytes  int64
 
 	// OnDeliver observes deliveries at every learner.
 	OnDeliver func(replica int, instance uint64, payload []byte)
@@ -209,6 +209,14 @@ func (c *Cluster) SetDisks(devs []*disk.Device) {
 		s.lstore = disk.NewLogStore(devs[i], paxosLearnWAL)
 	}
 }
+
+// DiskRecoveredBytes reports the bytes read back from local disks during
+// crash recovery.
+func (c *Cluster) DiskRecoveredBytes() int64 { return c.diskRecoveredBytes }
+
+// FabricRecoveryBytes reports the payload bytes re-shipped over the network
+// to refill restarted servers' pre-crash state.
+func (c *Cluster) FabricRecoveryBytes() int64 { return c.fabricRecoveryBytes }
 
 // Start boots the deployment with server 0 as proposer (ballot = id+1).
 func (c *Cluster) Start() {
@@ -659,7 +667,7 @@ func (s *Server) onLearn(payload []byte) {
 				s.lstore.AppendEntry(inst, 0, s.chosen[inst], nil)
 			}
 			if inst < s.preCrashDelivered {
-				s.c.FabricRecoveryBytes += int64(len(pl))
+				s.c.fabricRecoveryBytes += int64(len(pl))
 			}
 		}
 		off += 12 + ln
@@ -744,7 +752,7 @@ func (s *Server) restartDurable() {
 	s.lstore = disk.NewLogStore(s.dev, paxosLearnWAL)
 	arec := disk.RecoverLog(s.dev, paxosAcceptWAL)
 	lrec := disk.RecoverLog(s.dev, paxosLearnWAL)
-	s.c.DiskRecoveredBytes += int64(arec.Bytes) + int64(lrec.Bytes)
+	s.c.diskRecoveredBytes += int64(arec.Bytes) + int64(lrec.Bytes)
 	s.node.Proc.Pause(s.dev.ReadCost(arec.Bytes + lrec.Bytes))
 	if v, ok := arec.Meta[metaPromised]; ok {
 		s.promised = v

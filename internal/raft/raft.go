@@ -129,12 +129,12 @@ type Cluster struct {
 	// OnDeliver observes every applied entry at every replica.
 	OnDeliver func(replica int, index int, payload []byte)
 
-	// FabricRecoveryBytes counts payload bytes re-replicated over the
+	// fabricRecoveryBytes counts payload bytes re-replicated over the
 	// network to refill restarted servers' pre-crash log positions;
-	// DiskRecoveredBytes counts bytes read back from local disks during
+	// diskRecoveredBytes counts bytes read back from local disks during
 	// crash recovery (durable mode only).
-	FabricRecoveryBytes int64
-	DiskRecoveredBytes  int64
+	fabricRecoveryBytes int64
+	diskRecoveredBytes  int64
 
 	obs *observe.Observer
 }
@@ -174,6 +174,14 @@ func (c *Cluster) SetDisks(devs []*disk.Device) {
 		s.store = disk.NewLogStore(devs[i], raftWALName)
 	}
 }
+
+// DiskRecoveredBytes reports the bytes read back from local disks during
+// crash recovery.
+func (c *Cluster) DiskRecoveredBytes() int64 { return c.diskRecoveredBytes }
+
+// FabricRecoveryBytes reports the payload bytes re-shipped over the network
+// to refill restarted servers' pre-crash state.
+func (c *Cluster) FabricRecoveryBytes() int64 { return c.fabricRecoveryBytes }
 
 // NewCluster builds the group.
 func NewCluster(sim *simnet.Sim, net *tcpnet.Net, cfg Config) *Cluster {
@@ -508,7 +516,7 @@ func (s *Server) onAppend(m []byte) {
 		}
 		if appended {
 			if idx < s.preCrashLen {
-				s.c.FabricRecoveryBytes += int64(len(e.payload))
+				s.c.fabricRecoveryBytes += int64(len(e.payload))
 			}
 			s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(idx), e.term, trace.ID(e.payload))
 			if len(e.payload) >= 8 {
@@ -816,7 +824,7 @@ func (c *Cluster) restartDurable(s *Server) {
 	s.store = disk.NewLogStore(s.dev, raftWALName)
 
 	rec := disk.RecoverLog(s.dev, raftWALName)
-	c.DiskRecoveredBytes += int64(rec.Bytes)
+	c.diskRecoveredBytes += int64(rec.Bytes)
 	s.node.Proc.Pause(s.dev.ReadCost(rec.Bytes))
 	for _, e := range rec.Entries {
 		idx := int(e.Seq)

@@ -169,12 +169,12 @@ type Cluster struct {
 	pending  map[uint64]func()
 	obs      *observe.Observer
 
-	// FabricRecoveryBytes counts payload bytes re-shipped over the network
+	// fabricRecoveryBytes counts payload bytes re-shipped over the network
 	// to refill restarted servers' pre-crash log positions;
-	// DiskRecoveredBytes counts bytes read back from local transaction logs
+	// diskRecoveredBytes counts bytes read back from local transaction logs
 	// during crash recovery (durable mode only).
-	FabricRecoveryBytes int64
-	DiskRecoveredBytes  int64
+	fabricRecoveryBytes int64
+	diskRecoveredBytes  int64
 
 	// OnDeliver observes every delivery (tests, KV store).
 	OnDeliver func(replica int, zxid uint64, payload []byte)
@@ -258,6 +258,14 @@ func (c *Cluster) SetDisks(devs []*disk.Device) {
 		s.store = disk.NewLogStore(devs[i], zabWALName)
 	}
 }
+
+// DiskRecoveredBytes reports the bytes read back from local disks during
+// crash recovery.
+func (c *Cluster) DiskRecoveredBytes() int64 { return c.diskRecoveredBytes }
+
+// FabricRecoveryBytes reports the payload bytes re-shipped over the network
+// to refill restarted servers' pre-crash state.
+func (c *Cluster) FabricRecoveryBytes() int64 { return c.fabricRecoveryBytes }
 
 // Start boots every server into election.
 func (c *Cluster) Start() {
@@ -407,7 +415,7 @@ func (s *Server) handle(m []byte) {
 		s.lastZxid = zxid
 		s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(len(s.log)-1), zxid, trace.ID(e.payload))
 		if len(s.log)-1 < s.preCrashLen {
-			s.c.FabricRecoveryBytes += int64(len(e.payload))
+			s.c.fabricRecoveryBytes += int64(len(e.payload))
 		}
 		if len(payload) >= 8 {
 			s.seenIDs[abcast.MsgID(payload)] = true
@@ -699,7 +707,7 @@ func (s *Server) onSyncDiff(epoch uint32, payload []byte) {
 			s.log = append(s.log, entry{zxid, pl})
 			s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(len(s.log)-1), zxid, trace.ID(pl))
 			if len(s.log)-1 < s.preCrashLen {
-				s.c.FabricRecoveryBytes += int64(len(pl))
+				s.c.fabricRecoveryBytes += int64(len(pl))
 			}
 			s.lastZxid = zxid
 			if len(pl) >= 8 {
@@ -837,7 +845,7 @@ func (s *Server) restartDurable() {
 	// device epoch bump), so a fresh store is required.
 	s.store = disk.NewLogStore(s.dev, zabWALName)
 	rec := disk.RecoverLog(s.dev, zabWALName)
-	s.c.DiskRecoveredBytes += int64(rec.Bytes)
+	s.c.diskRecoveredBytes += int64(rec.Bytes)
 	s.node.Proc.Pause(s.dev.ReadCost(rec.Bytes))
 	// Entries were appended with seq = log index; truncation records drop
 	// suffixes, so rebuilding positionally yields the surviving prefix.
