@@ -1,12 +1,15 @@
 // Command bench-compare diffs two benchmark JSON artifacts and exits
-// non-zero on a regression. It understands all three artifact kinds —
-// sweep files written by abcast-bench -json, chaos files written by
-// chaos-bench -json, and placement files written by ycsb-bench -pgs -json
-// — sniffing the kind from the file and requiring the baseline to match. Deterministic fields (committed counts, simulated
-// time, throughput, latency quantiles, trace fingerprints, MTTR, observer
-// digests) must match exactly; wall-clock is compared only within
-// -wall-tolerance, and a negative tolerance skips it entirely — use that
-// when the baseline was measured on a different machine.
+// non-zero on a regression. It reads every artifact kind — sweep files
+// written by abcast-bench -json, chaos files written by chaos-bench -json,
+// and placement files written by ycsb-bench -pgs -json — and requires the
+// baseline to be of the same kind. Deterministic fields (committed counts,
+// simulated time, throughput, latency quantiles, trace fingerprints, MTTR,
+// observer and device digests) must match exactly; wall-clock is compared
+// only within -wall-tolerance, and a negative tolerance skips it entirely —
+// use that when the baseline was measured on a different machine.
+//
+// Exit status: 0 when the artifacts match, 1 on a regression, 2 on a usage
+// error, an unreadable file, an unknown kind, or a kind mismatch.
 //
 // Usage:
 //
@@ -34,67 +37,21 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	baseKind, err := bench.SniffArtifactKind(*baseline)
+	base, err := bench.ReadArtifact(*baseline)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bench-compare: %v\n", err)
 		os.Exit(2)
 	}
-	curKind, err := bench.SniffArtifactKind(*current)
+	cur, err := bench.ReadArtifact(*current)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bench-compare: %v\n", err)
 		os.Exit(2)
 	}
-	if baseKind != curKind {
-		fmt.Fprintf(os.Stderr, "bench-compare: artifact kinds differ: baseline %q, current %q\n", baseKind, curKind)
+	if base.Kind != cur.Kind {
+		fmt.Fprintf(os.Stderr, "bench-compare: artifact kinds differ: baseline %q, current %q\n", base.Kind, cur.Kind)
 		os.Exit(2)
 	}
-	if baseKind == bench.PlacementArtifactKind {
-		base, err := bench.ReadPlacementFile(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench-compare: %v\n", err)
-			os.Exit(2)
-		}
-		cur, err := bench.ReadPlacementFile(*current)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench-compare: %v\n", err)
-			os.Exit(2)
-		}
-		if err := bench.ComparePlacementBaseline(cur, base, *wallTol); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-compare: REGRESSION: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("bench-compare: %d placement points match baseline %s\n", len(cur.Points), *baseline)
-		return
-	}
-	if baseKind == bench.ChaosArtifactKind {
-		base, err := bench.ReadChaosFile(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench-compare: %v\n", err)
-			os.Exit(2)
-		}
-		cur, err := bench.ReadChaosFile(*current)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench-compare: %v\n", err)
-			os.Exit(2)
-		}
-		if err := bench.CompareChaosBaseline(cur, base, *wallTol); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-compare: REGRESSION: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("bench-compare: %d chaos cells match baseline %s\n", len(cur.Points), *baseline)
-		return
-	}
-	base, err := bench.ReadBenchFile(*baseline)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench-compare: %v\n", err)
-		os.Exit(2)
-	}
-	cur, err := bench.ReadBenchFile(*current)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench-compare: %v\n", err)
-		os.Exit(2)
-	}
-	if err := bench.CompareBaseline(cur, base, *wallTol); err != nil {
+	if err := bench.Compare(cur, base, *wallTol); err != nil {
 		fmt.Fprintf(os.Stderr, "bench-compare: REGRESSION: %v\n", err)
 		os.Exit(1)
 	}

@@ -113,13 +113,13 @@ func main() {
 	}
 
 	exit := 0
-	var artifact *bench.ChaosFileJSON
+	var artifact *bench.Artifact
 	if *jsonPath != "" {
 		name := "chaos"
 		if *short {
 			name = "chaos-short"
 		}
-		artifact = bench.NewChaosFileJSON(name)
+		artifact = bench.NewArtifact(name, bench.ChaosArtifactKind)
 	}
 	start := time.Now()
 	for _, sc := range all {
@@ -146,7 +146,7 @@ func main() {
 			}
 		}
 		if artifact != nil {
-			artifact.Add(cfg, results)
+			artifact.AddChaos(cfg, results)
 		}
 		fmt.Println()
 	}

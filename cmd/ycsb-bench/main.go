@@ -26,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -119,14 +118,11 @@ func main() {
 	bench.PrintPlacement(os.Stdout, results)
 
 	if *jsonOut != "" {
-		f := bench.NewPlacementFileJSON("placement")
+		f := bench.NewArtifact("placement", bench.PlacementArtifactKind)
 		f.Workers = rep.Workers
 		f.WallNS = int64(time.Since(start))
-		if f.Workers == 0 {
-			f.Workers = runtime.GOMAXPROCS(0)
-		}
 		for i := range results {
-			f.Add(&results[i])
+			f.AddPlacement(&results[i])
 		}
 		if err := f.WriteFile(*jsonOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)

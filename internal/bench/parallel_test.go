@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -63,64 +62,6 @@ func TestParallelSerialEquivalence(t *testing.T) {
 			if sf != pf {
 				t.Errorf("%s window %d: fingerprint %016x serial, %016x parallel", k, s[i].Window, sf, pf)
 			}
-		}
-	}
-}
-
-// TestJSONRoundTrip checks that a sweep artifact survives
-// write → read → CompareBaseline against itself, and that CompareBaseline
-// actually fails when a deterministic field drifts.
-func TestJSONRoundTrip(t *testing.T) {
-	cfg := smallFig8()
-	kinds := []Kind{Acuerdo, Etcd}
-	results, rep := Figure8Parallel(cfg, kinds, 2)
-
-	f := NewFileJSON("figure8-test")
-	f.Workers = rep.Workers
-	f.WallNS = int64(rep.Wall)
-	f.AddFigure8(cfg, results, kinds)
-	if len(f.Points) != len(kinds)*len(cfg.Windows) {
-		t.Fatalf("artifact has %d points, want %d", len(f.Points), len(kinds)*len(cfg.Windows))
-	}
-	for i, p := range f.Points {
-		if p.TraceFP == "" {
-			t.Fatalf("point %d missing trace fingerprint", i)
-		}
-	}
-
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := f.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadBenchFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CompareBaseline(back, f, 0); err != nil {
-		t.Fatalf("self-comparison failed: %v", err)
-	}
-
-	// A drifted deterministic field must fail the comparison.
-	back.Points[0].Committed++
-	if err := CompareBaseline(back, f, -1); err == nil {
-		t.Fatal("CompareBaseline accepted a drifted committed count")
-	}
-	back.Points[0].Committed--
-	back.Points[1].TraceFP = "0000000000000000"
-	if err := CompareBaseline(back, f, -1); err == nil {
-		t.Fatal("CompareBaseline accepted a drifted fingerprint")
-	}
-
-	// Wall-clock regression beyond tolerance must fail; negative tolerance
-	// must skip the check.
-	back.Points[1].TraceFP = f.Points[1].TraceFP
-	back.WallNS = f.WallNS*2 + 1
-	if f.WallNS > 0 {
-		if err := CompareBaseline(back, f, 0.10); err == nil {
-			t.Fatal("CompareBaseline accepted a 2x wall-clock regression at 10% tolerance")
-		}
-		if err := CompareBaseline(back, f, -1); err != nil {
-			t.Fatalf("negative tolerance should skip wall-clock: %v", err)
 		}
 	}
 }
